@@ -1,4 +1,4 @@
-// Scale-out front tier under open-loop load (DESIGN.md §14).
+// Scale-out front tier under open-loop load (DESIGN.md §4).
 //
 // A closed-loop driver (submit, wait, submit) can never overload a
 // service — the offered rate self-throttles to the service rate, which
@@ -155,7 +155,7 @@ CellResult run_cell(const std::vector<Tenant>& tenants,
   config.threads_per_replica = threads_per_replica;
   config.shedding = shedding;
   config.cache_bytes = 0;
-  config.max_queue_per_tenant = 1 << 16;  // overload shows up as lateness,
+  config.max_queue = 1 << 16;  // overload shows up as lateness,
                                           // not as queue-full rejections
   ScaleoutService service(config);
   std::vector<TenantId> ids;
@@ -333,7 +333,7 @@ int main(int argc, char** argv) {
 
   bench::print_banner(
       "Scale-out service under open-loop load",
-      "extension (tenancy + replicas + shedding, DESIGN.md §14)");
+      "extension (tenancy + replicas + shedding, DESIGN.md §4)");
 
   const double scale = workload_config_from_env().scale * (smoke ? 0.05 : 1.0);
   const auto dim = [&](vid_t base) {

@@ -7,7 +7,7 @@
 // scale-free low-diameter case where overlap is near-total) and the
 // thread count, and varies only the service's max batch width W:
 // W=1 degenerates to the one-at-a-time baseline (every dispatch runs
-// the BFS_CL_H hybrid engine), larger W lets the scheduler coalesce.
+// the BFS_CL_H hybrid engine), larger W lets the replica coalesce.
 //
 // The cache is disabled so every query pays a real traversal — we are
 // measuring the wave, not memoization. Queries ask for full distance

@@ -10,6 +10,7 @@
 //   ./bfs_cli --list
 //   ./bfs_cli --graph file:web.mtx --updates trace.txt --json out.json
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -100,6 +101,24 @@ using namespace optibfs;
   std::exit(code);
 }
 
+/// Checked numeric value for `what` (a flag or graph spec): the whole
+/// text must parse as a T of at least `min`, otherwise bfs_cli exits 2
+/// — garbage never silently becomes 0.
+template <class T>
+T parse_number(const std::string& what, const std::string& text,
+               T min = std::numeric_limits<T>::lowest()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value < min) {
+    std::cerr << what << " expects a number";
+    if (min > std::numeric_limits<T>::lowest()) std::cerr << " >= " << min;
+    std::cerr << ", not '" << text << "'\n";
+    std::exit(2);
+  }
+  return value;
+}
+
 std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> parts;
   std::stringstream stream(text);
@@ -128,7 +147,7 @@ CsrGraph build_graph(const std::string& spec, std::uint64_t seed,
       std::cerr << "graph spec '" << spec << "' is missing arguments\n";
       std::exit(2);
     }
-    return std::atoll(parts[i].c_str());
+    return parse_number<long long>("graph spec '" + spec + "'", parts[i]);
   };
   if (kind == "rmat") {
     return CsrGraph::from_edges(
@@ -140,7 +159,8 @@ CsrGraph build_graph(const std::string& spec, std::uint64_t seed,
   }
   if (kind == "powerlaw") {
     const double gamma =
-        parts.size() > 3 ? std::atof(parts[3].c_str()) : 2.2;
+        parts.size() > 3 ? parse_number<double>("powerlaw gamma", parts[3])
+                         : 2.2;
     return CsrGraph::from_edges(gen::power_law(
         static_cast<vid_t>(arg(1)), static_cast<eid_t>(arg(2)), gamma, seed));
   }
@@ -615,35 +635,35 @@ int main(int argc, char** argv) {
     }
     else if (arg == "--budget") {
       options.storage_budget_bytes =
-          std::strtoull(next().c_str(), nullptr, 10) * (1ull << 20);
+          parse_number<std::uint64_t>(arg, next()) * (1ull << 20);
       load.budget_bytes = options.storage_budget_bytes;
     }
     else if (arg == "--save") save_path = next();
     else if (arg == "--algo" || arg == "--engine") algorithm = next();
-    else if (arg == "--subqueues") options.async_subqueues = std::atoi(next().c_str());
-    else if (arg == "--batch") options.async_batch_size = std::atoi(next().c_str());
-    else if (arg == "--prefetch") options.prefetch_distance = std::atoi(next().c_str());
+    else if (arg == "--subqueues") options.async_subqueues = parse_number<int>(arg, next(), 1);
+    else if (arg == "--batch") options.async_batch_size = parse_number<int>(arg, next(), 1);
+    else if (arg == "--prefetch") options.prefetch_distance = parse_number<int>(arg, next(), 0);
     else if (arg == "--service") use_service = true;
     else if (arg == "--kernel") kernel_name = next();
     else if (arg == "--list-kernels") {
       for (const auto& name : kernels::all_kernels()) std::cout << name << '\n';
       return 0;
     }
-    else if (arg == "--threads") options.num_threads = std::atoi(next().c_str());
-    else if (arg == "--sources") sources_count = std::atoi(next().c_str());
-    else if (arg == "--segment") options.segment_size = std::atoll(next().c_str());
-    else if (arg == "--threshold") options.degree_threshold = static_cast<vid_t>(std::atol(next().c_str()));
-    else if (arg == "--pools") options.dl_pools = std::atoi(next().c_str());
-    else if (arg == "--steal-factor") options.steal_attempt_factor = std::atoi(next().c_str());
+    else if (arg == "--threads") options.num_threads = parse_number<int>(arg, next(), 1);
+    else if (arg == "--sources") sources_count = parse_number<int>(arg, next(), 1);
+    else if (arg == "--segment") options.segment_size = parse_number<std::int64_t>(arg, next(), 0);
+    else if (arg == "--threshold") options.degree_threshold = parse_number<vid_t>(arg, next());
+    else if (arg == "--pools") options.dl_pools = parse_number<int>(arg, next(), 1);
+    else if (arg == "--steal-factor") options.steal_attempt_factor = parse_number<int>(arg, next(), 1);
     else if (arg == "--phase2-steal") options.phase2 = Phase2Mode::kStealing;
     else if (arg == "--hybrid") options.direction_mode = DirectionMode::kHybrid;
-    else if (arg == "--alpha") options.alpha = std::atoi(next().c_str());
-    else if (arg == "--beta") options.beta = std::atoi(next().c_str());
+    else if (arg == "--alpha") options.alpha = parse_number<int>(arg, next(), 0);
+    else if (arg == "--beta") options.beta = parse_number<int>(arg, next(), 0);
     else if (arg == "--edge-segments") options.edge_balanced_segments = true;
     else if (arg == "--claim") options.parent_claim_dedup = true;
     else if (arg == "--no-clearing") options.clear_slots = false;
-    else if (arg == "--numa-sockets") { options.numa_aware = true; options.num_sockets = std::atoi(next().c_str()); }
-    else if (arg == "--seed") options.seed = std::strtoull(next().c_str(), nullptr, 10);
+    else if (arg == "--numa-sockets") { options.numa_aware = true; options.num_sockets = parse_number<int>(arg, next(), 0); }
+    else if (arg == "--seed") options.seed = parse_number<std::uint64_t>(arg, next());
     else if (arg == "--verify") verify = true;
     else if (arg == "--updates") updates_path = next();
     else if (arg == "--json") json_path = next();
@@ -657,6 +677,14 @@ int main(int argc, char** argv) {
       std::cerr << "unknown flag '" << arg << "'\n";
       usage(2);
     }
+  }
+
+  const std::vector<std::string> algorithms = all_algorithms();
+  if (std::find(algorithms.begin(), algorithms.end(), algorithm) ==
+      algorithms.end()) {
+    std::cerr << "unknown algorithm '" << algorithm
+              << "' (--list prints the names)\n";
+    return 2;
   }
 
   CsrGraph graph = build_graph(graph_spec, options.seed, load);

@@ -2,9 +2,9 @@
 //
 // Simulates a query front-end over a web-scale-ish RMAT graph: several
 // client threads fire distance / path / level-set queries at a
-// BfsService, which coalesces queued sources into MS-BFS waves on one
-// persistent worker pool and memoizes level arrays in a versioned LRU
-// cache. Afterwards it prints the service's own accounting — batch
+// BfsService, whose replica coalesces queued sources into MS-BFS waves
+// on one persistent worker pool and memoizes level arrays in a
+// versioned LRU cache. Afterwards it prints the service's own accounting — batch
 // width histogram, cache hit rate, and latency percentiles — the same
 // numbers bench_service exports as JSON.
 //
@@ -12,7 +12,7 @@
 //
 // With a fourth argument (and an OPTIBFS_TELEMETRY=ON build) the run
 // also writes a Chrome trace: per-query queue-wait and execute spans on
-// the "service.scheduler" track, the MS-BFS wave/level spans beneath.
+// the "scaleout.replica0" track, the MS-BFS wave/level spans beneath.
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>

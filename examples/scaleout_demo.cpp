@@ -1,7 +1,7 @@
 // Scale-out front tier: tenants, replica teams, continuous queries.
 //
 // Runs a miniature multi-tenant deployment of ScaleoutService
-// (DESIGN.md section 14): two tenants with different quotas, client
+// (DESIGN.md section 4): two tenants with different quotas, client
 // threads firing mixed queries through the replica fleet, a metered
 // tenant driven past its token bucket, and an update stream applied
 // *while* replicas are mid-query — with watch_distance subscriptions

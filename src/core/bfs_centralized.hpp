@@ -49,7 +49,9 @@ class CentralizedLockfreeBFS : public BFSEngineBase {
   void on_level_prepared() override;
 
  private:
-  /// Segment length for a queue with `queue_remaining` unread entries.
+  /// Segment length for a queue with `queue_remaining` unread entries:
+  /// a function of it and per-level constants only (the partition
+  /// condition at BFSEngineBase::segment_size).
   std::int64_t pick_segment(std::int64_t queue_remaining) const;
 
   const bool edge_balanced_;

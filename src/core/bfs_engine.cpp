@@ -111,9 +111,9 @@ void BFSEngineBase::enable_scale_free() {
         static_cast<vid_t>(graph_.num_edges() / n + 1);
     degree_threshold_ = std::max<vid_t>(64, 8 * mean);
   }
-  hotspot_vertex_ =
-      std::vector<CacheAligned<std::atomic<vid_t>>>(
-          static_cast<std::size_t>(p_));
+  draining_ = std::vector<CacheAligned<std::atomic<vid_t>>>(
+      static_cast<std::size_t>(p_));
+  for (auto& slot : draining_) slot->store(kInvalidVertex);
 }
 
 std::int64_t BFSEngineBase::segment_size(std::int64_t remaining) const {
@@ -777,6 +777,13 @@ void BFSEngineBase::explore_hotspots(int tid, level_t level) {
                              st.hotspots.end());
       st.hotspots.clear();
     }
+    if (opts_.phase2 == Phase2Mode::kStealing) {
+      hotspot_front_.assign(level_hotspots_.size(), 0);
+      hotspot_rear_.resize(level_hotspots_.size());
+      for (std::size_t i = 0; i < level_hotspots_.size(); ++i) {
+        hotspot_rear_[i] = graph_.out_degree(level_hotspots_[i]);
+      }
+    }
   }
   barrier_.arrive_and_wait(&ctr[kBarrierSpins]);
   if (level_hotspots_.empty()) return;
@@ -798,64 +805,55 @@ void BFSEngineBase::explore_hotspots(int tid, level_t level) {
   }
 
   // kStealing variant: hotspots are dealt round-robin; a thread that
-  // finishes its share steals half of a victim's remaining adjacency
-  // range. Edge ranges cannot use the 0-sentinel (the adjacency array
-  // is read-only), so owners re-read their (thief-writable) rear each
-  // step; races cost duplicate edge scans only.
-  ThreadState& st = state(tid);
+  // finishes its share steals half of the remaining adjacency range of
+  // a hotspot another thread is draining. Edge ranges cannot use the
+  // 0-sentinel (the adjacency array is read-only), so owners re-read
+  // their slot's (thief-writable) rear each step; because ranges live
+  // per hotspot slot, races cost duplicate edge scans only.
+  auto& draining = *draining_[static_cast<std::size_t>(tid)];
   for (std::size_t i = static_cast<std::size_t>(tid);
        i < level_hotspots_.size(); i += static_cast<std::size_t>(p_)) {
-    const vid_t h = level_hotspots_[i];
-    hotspot_vertex_[static_cast<std::size_t>(tid)]->store(
-        h, std::memory_order_relaxed);
-    st.seg_front.store(0, std::memory_order_relaxed);
-    st.seg_rear.store(graph_.out_degree(h), std::memory_order_relaxed);
-    st.has_work.store(true, std::memory_order_relaxed);
-    drain_adjacency_range(tid, level);
+    draining.store(static_cast<vid_t>(i), std::memory_order_relaxed);
+    drain_adjacency_range(tid, i, level);
   }
-  st.has_work.store(false, std::memory_order_relaxed);
-  while (steal_adjacency_range(tid)) {
-    drain_adjacency_range(tid, level);
-    state(tid).has_work.store(false, std::memory_order_relaxed);
+  draining.store(kInvalidVertex, std::memory_order_relaxed);
+  while (steal_adjacency_range(tid, level)) {
   }
 }
 
-void BFSEngineBase::drain_adjacency_range(int tid, level_t level) {
-  ThreadState& st = state(tid);
-  const vid_t h = hotspot_vertex_[static_cast<std::size_t>(tid)]->load(
-      std::memory_order_relaxed);
-  std::int64_t i = st.seg_front.load(std::memory_order_relaxed);
-  while (i < st.seg_rear.load(std::memory_order_relaxed)) {
-    visit_neighbor_range(tid, h, level + 1, static_cast<std::size_t>(i),
-                         static_cast<std::size_t>(i) + 1);
-    ++i;
-    st.seg_front.store(i, std::memory_order_relaxed);
+void BFSEngineBase::drain_adjacency_range(int tid, std::size_t slot,
+                                          level_t level) {
+  const vid_t h = level_hotspots_[slot];
+  std::atomic_ref<std::int64_t> front(hotspot_front_[slot]);
+  const std::atomic_ref<std::int64_t> rear(hotspot_rear_[slot]);
+  for (std::int64_t e = front.load(std::memory_order_relaxed);
+       e < rear.load(std::memory_order_relaxed); ++e) {
+    visit_neighbor_range(tid, h, level + 1, static_cast<std::size_t>(e),
+                         static_cast<std::size_t>(e) + 1);
+    front.store(e + 1, std::memory_order_relaxed);
   }
 }
 
-bool BFSEngineBase::steal_adjacency_range(int tid) {
+bool BFSEngineBase::steal_adjacency_range(int tid, level_t level) {
   ThreadState& st = state(tid);
   const int budget = max_steal_attempts(p_);
   for (int attempt = 0; attempt < budget; ++attempt) {
     const int victim = pick_victim(tid, attempt * 2 < budget);
-    if (victim == tid) {
+    const vid_t slot =
+        victim == tid ? kInvalidVertex
+                      : draining_[static_cast<std::size_t>(victim)]->load(
+                            std::memory_order_relaxed);
+    if (slot == kInvalidVertex) {
       ++st.ctr[kStealFailVictimIdle];
       continue;
     }
-    ThreadState& vs = state(victim);
-    if (!vs.has_work.load(std::memory_order_relaxed)) {
-      ++st.ctr[kStealFailVictimIdle];
-      continue;
-    }
-    const vid_t hv = hotspot_vertex_[static_cast<std::size_t>(victim)]->load(
-        std::memory_order_relaxed);
-    const std::int64_t f = vs.seg_front.load(std::memory_order_relaxed);
-    const std::int64_t r = vs.seg_rear.load(std::memory_order_relaxed);
-    if (hv >= graph_.num_vertices() ||
-        r > static_cast<std::int64_t>(graph_.out_degree(hv)) || f < 0) {
-      ++st.ctr[kStealFailInvalidSegment];
-      continue;
-    }
+    // The victim may have moved on since it published `slot`; stealing
+    // from that slot is still safe (see hotspot_rear_).
+    const std::int64_t f =
+        std::atomic_ref<std::int64_t>(hotspot_front_[slot])
+            .load(std::memory_order_relaxed);
+    std::atomic_ref<std::int64_t> rear(hotspot_rear_[slot]);
+    const std::int64_t r = rear.load(std::memory_order_relaxed);
     if (f >= r) {
       ++st.ctr[kStealFailVictimIdle];
       continue;
@@ -865,13 +863,11 @@ bool BFSEngineBase::steal_adjacency_range(int tid) {
       continue;
     }
     const std::int64_t mid = f + (r - f) / 2;
-    vs.seg_rear.store(mid, std::memory_order_relaxed);
-    hotspot_vertex_[static_cast<std::size_t>(tid)]->store(
-        hv, std::memory_order_relaxed);
-    st.seg_front.store(mid, std::memory_order_relaxed);
-    st.seg_rear.store(r, std::memory_order_relaxed);
-    st.has_work.store(true, std::memory_order_relaxed);
+    rear.store(mid, std::memory_order_relaxed);
     ++st.ctr[kStealSuccess];
+    visit_neighbor_range(tid, level_hotspots_[slot], level + 1,
+                         static_cast<std::size_t>(mid),
+                         static_cast<std::size_t>(r));
     return true;
   }
   return false;

@@ -145,6 +145,13 @@ class BFSEngineBase : public ParallelBFS {
   /// the vertices remaining and p. Honors opts_.segment_size when fixed;
   /// with opts_.edge_balanced_segments it targets a fixed per-dispatch
   /// edge budget through the frontier's mean degree instead.
+  ///
+  /// Partition condition for the optimistic fetch (BFS_CL, BFS_DL): the
+  /// result must depend only on `remaining` (= rear - front at the
+  /// fetch) and per-level constants. Threads that read the same front
+  /// then claim the same segment, so segments partition the queue and a
+  /// thread that stops at a slot another already cleared never leaves
+  /// the tail of a longer segment unconsumed.
   std::int64_t segment_size(std::int64_t remaining) const;
 
   /// Mean out-degree of the current frontier (>= 1). Recomputed in the
@@ -204,14 +211,14 @@ class BFSEngineBase : public ParallelBFS {
   /// frontier vertices) runs bottom-up. No-op unless kHybrid.
   void prepare_direction(std::int64_t next_size);
 
-  /// Phase-2 stealing mode: steals half of a victim's remaining
-  /// adjacency range into the thief's own block. Returns false after
-  /// MAX_STEAL consecutive failures.
-  bool steal_adjacency_range(int tid);
+  /// Phase-2 stealing mode: takes the upper half of the remaining
+  /// adjacency range of the hotspot some victim is draining and
+  /// explores it. Returns false after MAX_STEAL consecutive failures.
+  bool steal_adjacency_range(int tid, level_t level);
 
-  /// Phase-2 stealing mode: drains the edge range currently in tid's
-  /// block (shared with concurrent thieves).
-  void drain_adjacency_range(int tid, level_t level);
+  /// Phase-2 stealing mode: drains hotspot slot `slot` of the level's
+  /// gathered hotspots (its rear is shared with concurrent thieves).
+  void drain_adjacency_range(int tid, std::size_t slot, level_t level);
 
   const std::string name_;
   vid_t degree_threshold_ = 0;  ///< 0 = plain variant (set by scale-free)
@@ -252,9 +259,16 @@ class BFSEngineBase : public ParallelBFS {
 
   // ---- scale-free phase-2 shared state ----
   std::vector<vid_t> level_hotspots_;
-  // kStealing mode: per-thread current hotspot vertex (the steal block's
-  // front/rear then index into its adjacency list).
-  std::vector<CacheAligned<std::atomic<vid_t>>> hotspot_vertex_;
+  // kStealing mode, per hotspot slot: the owner's front and the
+  // thief-writable rear of the slot's adjacency range (set in the gather
+  // window, then relaxed atomic_ref accesses). A steal only ever shortens
+  // the range of the hotspot it then explores itself, so a thief acting
+  // on a stale slot costs duplicate edge scans, never a lost range.
+  std::vector<std::int64_t> hotspot_front_;
+  std::vector<std::int64_t> hotspot_rear_;
+  // kStealing mode, per thread: the hotspot slot it is draining, or
+  // kInvalidVertex.
+  std::vector<CacheAligned<std::atomic<vid_t>>> draining_;
 
   // ---- hybrid direction state (allocated only under kHybrid) ----
   const CsrGraph* transpose_ = nullptr;  ///< cached &graph_.transpose()

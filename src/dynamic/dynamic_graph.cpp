@@ -1,7 +1,6 @@
 #include "dynamic/dynamic_graph.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -61,7 +60,7 @@ EdgeList GraphSnapshot::to_edge_list() const {
 DynamicGraph::DynamicGraph(std::shared_ptr<const CsrGraph> base, Config config)
     : config_(config), base_(std::move(base)) {
   if (base_ == nullptr) throw std::invalid_argument("DynamicGraph: null base");
-  content_hash_ = structural_fingerprint(*base_, config_.fingerprint_samples);
+  content_hash_ = structural_fingerprint(*base_);
   max_out_degree_ = base_->max_out_degree();
 }
 
@@ -102,12 +101,6 @@ void DynamicGraph::refresh_max_out_degree() {
 }
 
 BatchSummary DynamicGraph::apply(const UpdateBatch& batch) {
-  // Quiescent-window mode: readers and the mutator strictly alternate,
-  // so a pinned roster here is a caller bug. Concurrent-reader mode
-  // (scale-out replicas): pinned readers hold immutable COW snapshots
-  // of earlier versions, so overlapping them is the whole point.
-  assert((config_.concurrent_readers || roster_.quiescent()) &&
-         "DynamicGraph::apply outside a quiescent window");
   const vid_t n = base_->num_vertices();
 
   // Copy-on-write: published overlays are immutable, so mutate a copy
@@ -215,8 +208,6 @@ bool DynamicGraph::current_has_edge_in(const DeltaOverlay& d, vid_t u,
 }
 
 bool DynamicGraph::compact() {
-  assert((config_.concurrent_readers || roster_.quiescent()) &&
-         "DynamicGraph::compact outside a quiescent window");
   if (!has_delta()) return false;
   compact_locked();
   return true;
@@ -258,7 +249,7 @@ void DynamicGraph::compact_locked() {
   // Re-canonicalize: the fingerprint is now derivable from the merged
   // CSR alone, so two histories that compacted to the same edge set
   // agree again.
-  content_hash_ = structural_fingerprint(*base_, config_.fingerprint_samples);
+  content_hash_ = structural_fingerprint(*base_);
   max_out_degree_ = base_->max_out_degree();
 }
 

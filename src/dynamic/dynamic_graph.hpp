@@ -18,15 +18,15 @@
 //     from the *new* degrees — relabeling has exactly one implementation,
 //     EdgeList::relabel, and compaction reuses it).
 //
-// Concurrency discipline (DESIGN.md section 9): the overlay is
+// Concurrency discipline (DESIGN.md sections 4 and 9): the overlay is
 // copy-on-write. apply() is a single-mutator operation that builds a
-// fresh immutable DeltaOverlay and publishes it with a version bump at a
-// quiescent window (the service applies updates on its scheduler thread
-// between waves — the same barrier-window discipline the telemetry layer
-// aggregates under). Readers take a GraphSnapshot (shared_ptr copies)
-// and optionally pin the version they traverse into an EpochRoster slot
-// with plain stores — no locks and no atomic RMW anywhere on the read
-// path.
+// fresh immutable DeltaOverlay and publishes it with a version bump
+// while readers stay pinned on earlier versions: every published
+// overlay and base CSR is immutable and shared_ptr-owned, so a reader's
+// GraphSnapshot stays valid across any number of applies and
+// compactions. Readers pin the version they traverse into an
+// EpochRoster slot with plain stores — no locks and no atomic RMW
+// anywhere on the read path.
 //
 // All public vertex IDs are in the *original* ID space, even when the
 // base CSR is reordered (bfs_result.hpp convention): the overlay stores
@@ -203,25 +203,14 @@ class GraphSnapshot {
 
 /// Fixed-slot reader roster: reader r publishes the snapshot version it
 /// is traversing into its own cache-line-padded slot with a plain
-/// (relaxed) store, and clears it the same way when done. The mutator
-/// scans the roster only at advisory points (between waves, after a
-/// team join, or — in the scale-out tier's concurrent-reader mode —
-/// right before an apply), so the plain stores are race-benign in
-/// exactly the paper's sense: the scan answers "may I retire this
-/// version" / "is a reader overlapping me", never acts as a
+/// (relaxed) store, and clears it the same way when done. The single
+/// mutator applies *while* readers are pinned (copy-on-write snapshots
+/// keep every pinned version alive) and reads the roster only at
+/// advisory points — right before an apply, to count how many readers
+/// the update overlapped instead of waiting for them. The plain stores
+/// are race-benign in exactly the paper's sense: a scan answers "may I
+/// retire this version" / "is a reader overlapping me", never acts as a
 /// synchronization point. No locks, no atomic RMW.
-///
-/// Two disciplines share this type (DESIGN.md sections 9 and 14):
-///
-///   * quiescent-window mode (BfsService): one reader slot, and the
-///     mutator asserts quiescent() before every apply — readers and
-///     the mutator strictly alternate.
-///   * concurrent-reader mode (ScaleoutService): one slot per replica,
-///     each pinning the snapshot version its in-flight dispatch
-///     traverses. The mutator applies *while* readers are pinned —
-///     copy-on-write snapshots keep every pinned version alive — and
-///     the roster becomes the observable proof that an update
-///     overlapped live readers instead of waiting for them.
 class EpochRoster {
  public:
   static constexpr std::uint64_t kUnpinned = ~std::uint64_t{0};
@@ -286,8 +275,8 @@ class EpochRoster {
   std::vector<CacheAligned<std::uint64_t>> slots_;
 };
 
-/// Mutable dynamic graph: one writer (apply / compact at quiescent
-/// windows), any number of snapshot readers.
+/// Mutable dynamic graph: one writer (apply / compact), any number of
+/// snapshot readers pinned on earlier versions.
 class DynamicGraph {
  public:
   struct Config {
@@ -297,11 +286,6 @@ class DynamicGraph {
     /// Reorder policy re-applied at compaction so locality preprocessing
     /// survives (and adapts to the post-update degree distribution).
     ReorderPolicy reorder = ReorderPolicy::kNone;
-    /// Fingerprint probe count (graph_props::structural_fingerprint).
-    /// <= 0 hashes the full adjacency in one O(n + m) pass — required
-    /// whenever the fingerprint gates cache retention, since a sampled
-    /// fingerprint can miss edits confined to unprobed vertices.
-    int fingerprint_samples = 0;
     /// Storage tier (DESIGN.md §12): when non-empty, each compaction
     /// writes the merged CSR to this path (binary format v2, the
     /// permutation included) and re-opens it as the new base through
@@ -315,16 +299,6 @@ class DynamicGraph {
     storage::StorageKind compact_storage = storage::StorageKind::kMmap;
     /// Residency budget for the re-opened mmap base (0 = uncapped).
     std::uint64_t compact_storage_budget_bytes = 0;
-    /// Concurrent-reader mode (DESIGN.md section 14): false keeps the
-    /// quiescent-window contract — apply()/compact() assert an empty
-    /// roster, readers and the mutator strictly alternate. true lets
-    /// the single mutator apply *while* readers are pinned on earlier
-    /// versions: every published overlay and base CSR is immutable and
-    /// shared_ptr-owned, so a pinned snapshot stays valid across any
-    /// number of applies and compactions — the roster degrades from a
-    /// gate to an observability surface (how many readers did this
-    /// apply overlap?). Single-mutator remains mandatory either way.
-    bool concurrent_readers = false;
   };
 
   explicit DynamicGraph(std::shared_ptr<const CsrGraph> base)
@@ -360,19 +334,18 @@ class DynamicGraph {
     return GraphSnapshot(base_, delta_, version_);
   }
 
-  /// Applies one batch: single-mutator, quiescent-window only (no
-  /// traversal may be in flight — the roster's pins are the observable
-  /// form of that contract). Throws std::out_of_range for vertex IDs
-  /// outside [0, num_vertices). Returns what changed, for repair
-  /// seeding; may compact (summary.compacted).
+  /// Applies one batch: single-mutator; readers holding snapshots of
+  /// earlier versions are unaffected. Throws std::out_of_range for
+  /// vertex IDs outside [0, num_vertices). Returns what changed, for
+  /// repair seeding; may compact (summary.compacted).
   BatchSummary apply(const UpdateBatch& batch);
 
   /// Forces compaction of a non-empty delta. Returns false when there
   /// was nothing to compact.
   bool compact();
 
-  /// Reader roster (see EpochRoster). apply()/compact() assert
-  /// quiescence against it in debug builds.
+  /// Reader roster (see EpochRoster): readers pin the version they
+  /// traverse; the mutator counts overlapping readers before applies.
   EpochRoster& roster() { return roster_; }
 
   /// Flight-recorder totals: edges_inserted / edges_deleted /

@@ -54,7 +54,7 @@ namespace optibfs {
 /// reached) *may* have an alternate parent, so a true return means
 /// "repair and compare", not "distances changed". Shared by the
 /// service's cone-scoped cache migration and the scale-out tier's
-/// continuous-query rollforward (DESIGN.md sections 9 and 14).
+/// continuous-query rollforward (DESIGN.md sections 4 and 9).
 bool batch_affects_levels(const GraphSnapshot& snap,
                           const std::vector<level_t>& levels,
                           const BatchSummary& summary);

@@ -110,18 +110,12 @@ level_t sampled_bfs_diameter(const CsrGraph& g, int samples,
   return best;
 }
 
-std::uint64_t structural_fingerprint(const CsrGraph& g, int samples) {
+std::uint64_t structural_fingerprint(const CsrGraph& g) {
   const vid_t n = g.num_vertices();
   std::uint64_t h = fingerprint_mix(0x0D1BFA17ull, n);
   h = fingerprint_mix(h, g.num_edges());
-  if (n == 0) return h;
-  // samples <= 0: hash every vertex (exact content identity); positive:
-  // evenly strided probe subset (approximate — see the header warning).
-  const vid_t stride =
-      samples <= 0 ? 1
-                   : std::max<vid_t>(1, n / static_cast<vid_t>(samples));
-  for (vid_t probe = 0; probe < n; probe += stride) {
-    // Probe addressed in original IDs; the neighbor mix is a commutative
+  for (vid_t probe = 0; probe < n; ++probe) {
+    // Vertex addressed in original IDs; the neighbor mix is a commutative
     // sum so the adjacency *set* is hashed, not the (reorder-dependent)
     // adjacency order.
     const vid_t v = g.to_internal(probe);

@@ -47,13 +47,10 @@ level_t sampled_bfs_diameter(const CsrGraph& g, int samples,
 ///    and any CsrGraph::reorder copy of it fingerprint identically
 ///    (cached level arrays are in original IDs and stay valid across a
 ///    policy change);
-///  * content-sensitive — with `samples <= 0` (the default) every
-///    vertex is hashed in one O(n + m) pass, so any edge-set edit moves
-///    the value (up to 64-bit hash collisions). A positive `samples`
-///    hashes only that many evenly-spaced probe vertices — cheaper, but
-///    an insert/delete pair of equal count outside every probe goes
-///    unseen, so sampled fingerprints must never gate cache retention.
-std::uint64_t structural_fingerprint(const CsrGraph& g, int samples = 0);
+///  * content-sensitive — every vertex is hashed in one O(n + m) pass,
+///    so any edge-set edit moves the value (up to 64-bit hash
+///    collisions); cache retention across re-registration relies on it.
+std::uint64_t structural_fingerprint(const CsrGraph& g);
 
 /// splitmix64-style combiner shared by the fingerprint chain (exposed
 /// so DynamicGraph's batch hashing and tests agree on the mixing).

@@ -135,8 +135,9 @@ void MisKernel::run(KernelResult& out) {
             beaten(sub_.out_nbrs(v));
             if (!lost) beaten(sub_.in_nbrs(v));
             if (lost) {
+              // A repair, counted in fixes: kernel_conflict_demotes
+              // counts the in-round CAS demotions only (DESIGN.md §11.2).
               rlx_store(status_[v], kUndecided);
-              ++c[telemetry::kKernelConflictDemotes];
               sub_.activate(tid, v);
               ++fixes;
             }

@@ -209,6 +209,13 @@ bool ForkJoinPool::try_run_one(int worker_id) {
 }
 
 void ForkJoinPool::wake_if_idle() {
+  // Store-load ordering (Dekker): the caller's publish of the task (a
+  // release store of a deque's bottom_, or the inject counter) must be
+  // ordered before this read of num_idle_, and the worker's idle
+  // announcement before its re-scan below. Without both fences a
+  // worker can miss the task and sleep while the publisher sees no
+  // idler and skips the wake — a lost wake-up that hangs team waves.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   if (num_idle_.load(std::memory_order_acquire) > 0) {
     wake_epoch_.fetch_add(1, std::memory_order_acq_rel);
     wake_epoch_.notify_all();
@@ -233,6 +240,7 @@ void ForkJoinPool::worker_loop(int id) {
     // then sleep until the wake epoch moves.
     const std::uint64_t epoch = wake_epoch_.load(std::memory_order_acquire);
     num_idle_.fetch_add(1, std::memory_order_acq_rel);
+    std::atomic_thread_fence(std::memory_order_seq_cst);  // see wake_if_idle
     if (try_run_one(id)) {
       num_idle_.fetch_sub(1, std::memory_order_acq_rel);
       failures = 0;

@@ -1,4 +1,4 @@
-// Continuous distance queries (DESIGN.md section 14): standing
+// Continuous distance queries (DESIGN.md section 4.6): standing
 // watch_distance(s, t) subscriptions answered as a *byproduct* of each
 // applied update batch, instead of by polling.
 //

@@ -1,137 +1,12 @@
-// Observability for the scale-out front tier: the ServiceStats
-// counterpart for ScaleoutService, rendered from the same flight-
-// recorder counter vocabulary (telemetry/counters.hpp) onto the same
-// machine-readable JSON path the benches consume.
+// The scale-out tier reports through the serving core's one stats
+// struct (service/service_stats.hpp); this name stays for callers that
+// spell it the tier's way.
 #pragma once
 
-#include <cstdint>
-#include <sstream>
-#include <string>
-
 #include "service/service_stats.hpp"
-#include "telemetry/counters.hpp"
 
 namespace optibfs::scaleout {
 
-struct ScaleoutStats {
-  // ---- admission / completion ----
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t quota_rejected = 0;   ///< tenant token bucket empty
-  std::uint64_t shed = 0;             ///< deadline-aware load shedding
-  std::uint64_t rejected = 0;         ///< tenant queue at capacity
-  std::uint64_t timed_out = 0;        ///< deadline expired while queued
-  std::uint64_t stale = 0;            ///< flushed by tenant deregistration
-  std::uint64_t shutdown_flushed = 0;
-
-  // ---- dispatch / fleet ----
-  std::uint64_t replica_dispatches = 0;  ///< claims executed by replicas
-  /// apply() calls that ran while >= 1 replica held a pinned snapshot —
-  /// the observable proof that updates overlap reads (no fleet
-  /// quiescence).
-  std::uint64_t updates_overlapped_reads = 0;
-
-  // ---- updates ----
-  std::uint64_t update_batches = 0;
-  std::uint64_t edges_inserted = 0;
-  std::uint64_t edges_deleted = 0;
-  std::uint64_t compactions = 0;
-  std::uint64_t results_repaired = 0;     ///< cache rows repaired in place
-  std::uint64_t results_revalidated = 0;  ///< cache rows provably unaffected
-
-  // ---- kernel-typed queries (replica-shared memo) ----
-  std::uint64_t kernel_queries = 0;
-  std::uint64_t kernel_cache_hits = 0;
-  std::uint64_t kernel_recomputes = 0;
-
-  // ---- continuous queries ----
-  std::uint64_t watches_notified = 0;
-  std::uint64_t watch_repairs = 0;
-  std::uint64_t watch_recomputes = 0;
-  std::uint64_t watches_unchanged = 0;
-
-  // ---- latency over recent completions ----
-  std::uint64_t latency_samples = 0;
-  double mean_latency_ms = 0.0;
-  double p50_latency_ms = 0.0;
-  double p99_latency_ms = 0.0;
-  double max_latency_ms = 0.0;
-
-  // ---- shared result cache ----
-  std::uint64_t cache_entries = 0;
-  std::uint64_t cache_bytes = 0;
-  std::uint64_t cache_evictions = 0;
-
-  // ---- fleet shape ----
-  int replicas = 0;
-  std::uint64_t tenants = 0;
-  std::uint64_t watches = 0;
-
-  static ScaleoutStats from(const telemetry::CounterSnapshot& c) {
-    ScaleoutStats s;
-    s.submitted = c[telemetry::kQueriesSubmitted];
-    s.completed = c[telemetry::kQueriesCompleted];
-    s.cache_hits = c[telemetry::kQueriesCacheHit];
-    s.quota_rejected = c[telemetry::kQueriesQuotaRejected];
-    s.shed = c[telemetry::kQueriesShed];
-    s.rejected = c[telemetry::kQueriesRejected];
-    s.timed_out = c[telemetry::kQueriesTimedOut];
-    s.stale = c[telemetry::kQueriesStaleGraph];
-    s.shutdown_flushed = c[telemetry::kQueriesShutdownFlushed];
-    s.replica_dispatches = c[telemetry::kReplicaDispatches];
-    s.updates_overlapped_reads = c[telemetry::kUpdatesOverlappedReads];
-    s.update_batches = c[telemetry::kUpdateBatches];
-    s.edges_inserted = c[telemetry::kEdgesInserted];
-    s.edges_deleted = c[telemetry::kEdgesDeleted];
-    s.compactions = c[telemetry::kCompactions];
-    s.results_repaired = c[telemetry::kResultsRepaired];
-    s.results_revalidated = c[telemetry::kResultsRevalidated];
-    s.kernel_queries = c[telemetry::kKernelQueries];
-    s.kernel_cache_hits = c[telemetry::kKernelCacheHits];
-    s.kernel_recomputes = c[telemetry::kKernelRecomputes];
-    s.watches_notified = c[telemetry::kWatchesNotified];
-    s.watch_repairs = c[telemetry::kWatchRepairs];
-    s.watch_recomputes = c[telemetry::kWatchRecomputes];
-    s.watches_unchanged = c[telemetry::kWatchesUnchanged];
-    return s;
-  }
-
-  std::string to_json() const {
-    std::ostringstream out;
-    out << "{\"submitted\": " << submitted << ", \"completed\": " << completed
-        << ", \"cache_hits\": " << cache_hits
-        << ", \"quota_rejected\": " << quota_rejected
-        << ", \"shed\": " << shed << ", \"rejected\": " << rejected
-        << ", \"timed_out\": " << timed_out << ", \"stale\": " << stale
-        << ", \"shutdown_flushed\": " << shutdown_flushed
-        << ", \"replica_dispatches\": " << replica_dispatches
-        << ", \"updates_overlapped_reads\": " << updates_overlapped_reads
-        << ", \"update_batches\": " << update_batches
-        << ", \"edges_inserted\": " << edges_inserted
-        << ", \"edges_deleted\": " << edges_deleted
-        << ", \"compactions\": " << compactions
-        << ", \"results_repaired\": " << results_repaired
-        << ", \"results_revalidated\": " << results_revalidated
-        << ", \"kernel_queries\": " << kernel_queries
-        << ", \"kernel_cache_hits\": " << kernel_cache_hits
-        << ", \"kernel_recomputes\": " << kernel_recomputes
-        << ", \"watches_notified\": " << watches_notified
-        << ", \"watch_repairs\": " << watch_repairs
-        << ", \"watch_recomputes\": " << watch_recomputes
-        << ", \"watches_unchanged\": " << watches_unchanged
-        << ", \"latency_samples\": " << latency_samples
-        << ", \"mean_latency_ms\": " << mean_latency_ms
-        << ", \"p50_latency_ms\": " << p50_latency_ms
-        << ", \"p99_latency_ms\": " << p99_latency_ms
-        << ", \"max_latency_ms\": " << max_latency_ms
-        << ", \"cache_entries\": " << cache_entries
-        << ", \"cache_bytes\": " << cache_bytes
-        << ", \"cache_evictions\": " << cache_evictions
-        << ", \"replicas\": " << replicas << ", \"tenants\": " << tenants
-        << ", \"watches\": " << watches << "}";
-    return out.str();
-  }
-};
+using ScaleoutStats = ServiceStats;
 
 }  // namespace optibfs::scaleout

@@ -1,897 +1,89 @@
 #include "service/bfs_service.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
-#include "core/registry.hpp"
-#include "graph/graph_io.hpp"
-#include "graph/graph_props.hpp"
-#include "harness/source_sampler.hpp"
-#include "harness/timing.hpp"
-#include "runtime/mem_topology.hpp"
-#include "service/prefetch_tuner.hpp"
+#include <utility>
 
 namespace optibfs {
 
-using enum telemetry::Counter;
-using enum telemetry::EventName;
-
 namespace {
 
-ServiceConfig sanitized(ServiceConfig config) {
-  config.num_threads = std::max(1, config.num_threads);
-  config.max_batch =
-      std::clamp(config.max_batch, 1, MsBfsSession::kMaxBatch);
-  return config;
-}
-
-bool is_kernel_query(QueryKind kind) {
-  return kind == QueryKind::kComponents || kind == QueryKind::kCoreNumber ||
-         kind == QueryKind::kRankTopK;
-}
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+scaleout::ScaleoutConfig one_replica(const ServiceConfig& config) {
+  scaleout::ScaleoutConfig core;
+  static_cast<ServingConfig&>(core) = config;
+  core.replicas = 1;
+  core.threads_per_replica = config.num_threads;
+  core.shedding = false;  // every admitted query is answered
+  return core;
 }
 
 }  // namespace
 
-BfsService::BfsService(ServiceConfig config)
-    : config_(sanitized(std::move(config))),
-      pool_(std::make_unique<ForkJoinPool>(config_.num_threads)),
-      cache_(config_.cache_bytes),
-      scheduler_([this] { scheduler_loop(); }) {}
-
-BfsService::~BfsService() {
-  {
-    std::lock_guard lock(mutex_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
-  if (scheduler_.joinable()) scheduler_.join();
-}
-
-namespace {
-
-/// Reorder auto-selection (satellite of the locality layer): a fixed
-/// ServiceConfig::reorder forces its policy; otherwise a degree-
-/// distribution probe picks one per graph. Scale-free graphs — heavy
-/// tail (max degree >> mean) with a plausible power-law exponent —
-/// reward hub clustering (the BENCH_locality result the kHubCluster
-/// policy exists for); mesh-like graphs see no hubs to cluster and are
-/// served as-is. Cost: one O(n) degree pass at registration.
-ReorderPolicy resolve_reorder(const ServiceConfig& config,
-                              const CsrGraph& graph) {
-  constexpr vid_t kMinVerticesForProbe = 32768;
-  if (config.reorder != ReorderPolicy::kNone) return config.reorder;
-  if (!config.autotune_reorder ||
-      graph.num_vertices() < kMinVerticesForProbe) {
-    return ReorderPolicy::kNone;
-  }
-  const DegreeStats stats = degree_stats(graph);
-  const double gamma = power_law_exponent_estimate(stats);
-  const bool heavy_tail =
-      stats.mean > 0.0 && static_cast<double>(stats.max) >= 8.0 * stats.mean;
-  if (heavy_tail && gamma > 1.5) return ReorderPolicy::kHubCluster;
-  return ReorderPolicy::kNone;
-}
-
-}  // namespace
-
-void BfsService::rebuild_engines(GraphContext& ctx) {
-  BFSOptions opts = config_.bfs;
-  opts.num_threads = config_.num_threads;
-  opts.prefetch_distance = ctx.prefetch_distance;
-  if (config_.storage_budget_bytes != 0) {
-    opts.storage_budget_bytes = config_.storage_budget_bytes;
-  }
-  ctx.single_engine =
-      make_bfs(config_.single_source_engine, *ctx.graph, opts);
-  // Waves direction-optimize like the (default BFS_CL_H) fallback
-  // engine; set config.bfs.alpha = 0 to force top-down-only waves.
-  BFSOptions wave_opts = opts;
-  wave_opts.direction_mode = DirectionMode::kHybrid;
-  wave_opts.prefetch_distance = ctx.wave_prefetch_distance;
-  ctx.session =
-      std::make_shared<MsBfsSession>(*ctx.graph, wave_opts, *pool_);
-  if (ctx.graph->num_vertices() > 0) ctx.graph->transpose();
-}
+BfsService::BfsService(ServiceConfig config) : core_(one_replica(config)) {}
 
 std::uint64_t BfsService::register_graph(
     std::shared_ptr<const CsrGraph> graph) {
-  if (!graph) {
-    throw std::invalid_argument("BfsService::register_graph: null graph");
-  }
-  // Build the expensive pieces outside the lock: the fallback engine
-  // spins its worker team, and materializing the transpose here keeps
-  // the lazy-build mutex off the path-query path.
-  auto ctx = std::make_shared<GraphContext>();
-  ctx->reorder_policy = resolve_reorder(config_, *graph);
-  if (graph->storage_kind() == storage::StorageKind::kMmap &&
-      config_.reorder == ReorderPolicy::kNone) {
-    // Reorder auto-tuning would materialize an in-RAM reordered copy
-    // and silently defeat the out-of-core backend. mmap graphs are
-    // served as-is; pre-reorder the file offline (format v2 persists
-    // the permutation). An explicit config reorder still wins above.
-    ctx->reorder_policy = ReorderPolicy::kNone;
-  }
-  if (config_.storage_budget_bytes != 0) {
-    graph->set_storage_budget(config_.storage_budget_bytes);
-  }
-  if (ctx->reorder_policy != ReorderPolicy::kNone) {
-    // Locality preprocessing (DESIGN.md section 3.1a): serve a
-    // reordered copy. Transparent to callers — the engines answer in
-    // original vertex IDs on reordered graphs.
-    ctx->graph = std::make_shared<const CsrGraph>(
-        graph->reorder(ctx->reorder_policy));
-    graph.reset();
-  } else {
-    ctx->graph = std::move(graph);
-  }
-  DynamicGraph::Config dyn_config;
-  dyn_config.compact_threshold = config_.compact_threshold;
-  dyn_config.reorder = ctx->reorder_policy;
-  ctx->dynamic = std::make_shared<DynamicGraph>(ctx->graph, dyn_config);
-  ctx->fingerprint = ctx->dynamic->content_fingerprint();
-  ctx->snapshot = ctx->dynamic->snapshot();
-  const PrefetchPlan prefetch =
-      tune_prefetch(*ctx->graph, config_.bfs, config_.single_source_engine,
-                    config_.num_threads, config_.autotune_prefetch);
-  ctx->prefetch_distance = prefetch.single_source.distance;
-  ctx->wave_prefetch_distance = prefetch.wave.distance;
-  ctx->kernel_prefetch_distance = prefetch.kernel.distance;
-  ctx->prefetch_probed = prefetch.single_source.probed;
-  rebuild_engines(*ctx);
-  IncrementalBfsEngine::Config repair_config;
-  repair_config.cone_recompute_fraction = config_.cone_recompute_fraction;
-  repair_config.bfs = config_.bfs;
-  repair_config.bfs.num_threads = config_.num_threads;
-  ctx->repair =
-      std::make_shared<IncrementalBfsEngine>(repair_config, *pool_);
-
-  const std::uint64_t fingerprint = ctx->fingerprint;
-  std::vector<Pending> flushed;
-  std::uint64_t version = 0;
-  {
-    std::lock_guard lock(mutex_);
-    version = ++next_version_;
-    ctx->version = version;
-    ctx_ = std::move(ctx);
-    flushed.reserve(queue_.size());
-    for (auto& pending : queue_) flushed.push_back(std::move(pending));
-    queue_.clear();
-  }
-  // Content-keyed retention: rows whose fingerprint matches the newly
-  // registered graph (same edge set, any reorder policy) stay valid —
-  // level arrays are in original IDs — and everything else is garbage.
-  cache_.retain_only(fingerprint);
-  for (auto& pending : flushed) {
-    QueryResult result;
-    result.status = QueryStatus::kStaleGraph;
-    complete(pending, std::move(result));
-  }
-  return version;
+  std::lock_guard lock(register_mutex_);
+  const scaleout::TenantId tenant = tenant_.load(std::memory_order_acquire);
+  if (tenant != 0) return core_.replace_graph(tenant, std::move(graph));
+  const scaleout::TenantId fresh =
+      core_.register_tenant("graph", std::move(graph));
+  tenant_.store(fresh, std::memory_order_release);
+  return core_.graph_version(fresh);
 }
 
 std::uint64_t BfsService::register_graph_file(const std::string& path,
                                               storage::StorageKind kind) {
-  io::CsrLoadOptions load;
-  load.storage = kind;
-  load.budget_bytes = config_.storage_budget_bytes;
-  return register_graph(
-      std::make_shared<const CsrGraph>(io::read_binary_csr(path, load)));
+  return register_graph(core_.load_graph_file(path, kind));
 }
 
-std::future<std::uint64_t> BfsService::submit_updates(UpdateBatch batch) {
-  PendingUpdate update;
-  update.batch = std::move(batch);
-  auto future = update.promise.get_future();
-  bool queued = false;
-  bool shut = false;
-  {
-    std::lock_guard lock(mutex_);
-    shut = shutdown_;
-    if (!shut && ctx_ != nullptr) {
-      update_queue_.push_back(std::move(update));
-      queued = true;
-    }
-  }
-  if (queued) {
-    cv_.notify_one();
-    return future;
-  }
-  if (shut) {
-    update.promise.set_exception(std::make_exception_ptr(std::runtime_error(
-        "BfsService::apply_updates: service shut down")));
-  } else {
-    update.promise.set_exception(
-        std::make_exception_ptr(std::invalid_argument(
-            "BfsService::apply_updates: no graph registered")));
-  }
-  return future;
+std::uint64_t BfsService::graph_version() const {
+  return core_.graph_version(tenant_.load(std::memory_order_acquire));
 }
 
 std::uint64_t BfsService::apply_updates(UpdateBatch batch) {
   return submit_updates(std::move(batch)).get();
 }
 
-std::uint64_t BfsService::graph_version() const {
-  std::lock_guard lock(mutex_);
-  return ctx_ ? ctx_->version : 0;
-}
-
-std::size_t BfsService::pending() const {
-  std::lock_guard lock(mutex_);
-  return queue_.size();
-}
-
-ServiceStats BfsService::stats() const {
-  ServiceStats snapshot;
-  {
-    std::lock_guard lock(stats_mutex_);
-    snapshot = ServiceStats::from(query_counters_.aggregate());
-    snapshot.batch_histogram = batch_histogram_;
-    latencies_.fill(snapshot);
-  }
-  snapshot.cache_entries = cache_.entries();
-  snapshot.cache_bytes = cache_.bytes();
-  snapshot.cache_evictions = cache_.evictions();
-  {
-    // Engine configuration is per registered graph: report the resolved
-    // batch-of-1 engine (strict vs relaxed) and the prefetch distance
-    // its engines actually run with.
-    std::lock_guard lock(mutex_);
-    if (ctx_ != nullptr) {
-      snapshot.single_source_engine =
-          std::string(ctx_->single_engine->name());
-      snapshot.prefetch_distance = ctx_->prefetch_distance;
-      snapshot.wave_prefetch_distance = ctx_->wave_prefetch_distance;
-      snapshot.kernel_prefetch_distance = ctx_->kernel_prefetch_distance;
-      snapshot.prefetch_provenance =
-          ctx_->prefetch_probed ? "probed" : "configured";
-      snapshot.pinned_threads = ctx_->single_engine->pinned_threads();
-      snapshot.reorder_policy = reorder_policy_name(ctx_->reorder_policy);
-      const storage::StorageStats ss = ctx_->graph->storage_stats();
-      snapshot.storage_backend = storage::storage_kind_name(ss.kind);
-      snapshot.storage_map_bytes = ss.map_bytes;
-      snapshot.storage_budget_bytes = ss.budget_bytes;
-      snapshot.storage_hot_bytes = ss.hot_bytes;
-      snapshot.storage_advise_calls = ss.advise_calls;
-      snapshot.storage_evictions = ss.evictions;
-      snapshot.storage_major_fault_estimate = ss.major_faults;
-    }
-  }
-  // Machine facts (DESIGN.md §13) — independent of whether a graph is
-  // registered; degrade to the flat answers on single-node machines
-  // and OPTIBFS_NUMA=OFF builds.
-  const mem::PhysicalTopology& topo = mem::system_topology();
-  snapshot.sockets = static_cast<int>(topo.nodes.size());
-  snapshot.topology_detected = topo.detected;
-  snapshot.huge_pages = config_.bfs.huge_pages;
-  snapshot.thp_mode = mem::thp_mode_name(mem::thp_mode());
-  return snapshot;
-}
-
-ArenaStats BfsService::arena_stats() const {
-  std::shared_ptr<GraphContext> ctx;
-  {
-    std::lock_guard lock(mutex_);
-    ctx = ctx_;
-  }
-  ArenaStats out;
-  if (!ctx) return out;
-  // Engine arenas are written by the scheduler thread during dispatch;
-  // these reads are exact once the submitted futures have resolved
-  // (promise/future ordering makes the dispatch's writes visible).
-  const ArenaStats single = ctx->single_engine->arena_stats();
-  const ArenaStats wave = ctx->session->arena_stats();
-  out.allocations = single.allocations + wave.allocations;
-  out.reuses = single.reuses + wave.reuses;
-  out.epoch_wraps = single.epoch_wraps + wave.epoch_wraps;
-  return out;
-}
-
-QueryResult BfsService::distance(vid_t source, vid_t target) {
-  Query q;
-  q.kind = QueryKind::kDistance;
-  q.source = source;
-  q.target = target;
-  return query(q);
-}
-
-QueryResult BfsService::path(vid_t source, vid_t target) {
-  Query q;
-  q.kind = QueryKind::kPath;
-  q.source = source;
-  q.target = target;
-  return query(q);
-}
-
-QueryResult BfsService::level_set(vid_t source, level_t depth) {
-  Query q;
-  q.kind = QueryKind::kLevelSet;
-  q.source = source;
-  q.depth = depth;
-  return query(q);
-}
-
-QueryResult BfsService::components_of(vid_t v) {
-  Query q;
-  q.kind = QueryKind::kComponents;
-  q.source = v;
-  return query(q);
-}
-
-QueryResult BfsService::core_number(vid_t v) {
-  Query q;
-  q.kind = QueryKind::kCoreNumber;
-  q.source = v;
-  return query(q);
-}
-
-QueryResult BfsService::rank_topk(int k) {
-  Query q;
-  q.kind = QueryKind::kRankTopK;
-  q.source = 0;
-  q.topk = k;
-  return query(q);
+std::future<std::uint64_t> BfsService::submit_updates(UpdateBatch batch) {
+  return core_.submit_updates(tenant_.load(std::memory_order_acquire),
+                              std::move(batch));
 }
 
 std::future<QueryResult> BfsService::submit(const Query& query) {
-  Pending pending;
-  pending.query = query;
-  pending.submitted = Clock::now();
-  auto future = pending.promise.get_future();
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++query_counters_.slab(0)[kQueriesSubmitted];
-  }
-
-  std::shared_ptr<GraphContext> ctx;
-  {
-    std::lock_guard lock(mutex_);
-    ctx = ctx_;
-  }
-
-  const vid_t n = ctx ? ctx->graph->num_vertices() : 0;
-  bool invalid = !ctx || query.source >= n;
-  if (!invalid) {
-    switch (query.kind) {
-      case QueryKind::kDistance:
-        invalid = query.target != kInvalidVertex && query.target >= n;
-        break;
-      case QueryKind::kPath:
-        invalid = query.target >= n;
-        break;
-      case QueryKind::kLevelSet:
-        invalid = query.depth < 0;
-        break;
-      case QueryKind::kComponents:
-      case QueryKind::kCoreNumber:
-        break;  // source range already checked above
-      case QueryKind::kRankTopK:
-        invalid = query.topk < 1;
-        break;
-    }
-  }
-  if (invalid) {
-    QueryResult result;
-    result.status = QueryStatus::kInvalid;
-    complete(pending, std::move(result));
-    return future;
-  }
-
-  // Cache fast path: a repeat source never touches the scheduler.
-  // Kernel-typed queries skip it — level arrays cannot answer them;
-  // their memo lives with the scheduler.
-  if (!is_kernel_query(query.kind)) {
-    if (auto cached = cache_.lookup(ctx->fingerprint, query.source)) {
-      {
-        std::lock_guard lock(stats_mutex_);
-        ++query_counters_.slab(0)[kQueriesCacheHit];
-      }
-      complete(pending,
-               finalize_levels_query(query, ctx->snapshot, ctx->version,
-                                     std::move(cached), /*cache_hit=*/true));
-      return future;
-    }
-  }
-
-  const double timeout =
-      query.timeout_ms < 0 ? config_.default_timeout_ms : query.timeout_ms;
-  pending.version = ctx->version;
-  if (timeout >= 0) {
-    pending.has_deadline = true;
-    pending.deadline =
-        pending.submitted +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(timeout));
-  }
-
-  QueryStatus refusal = QueryStatus::kOk;
-  {
-    std::lock_guard lock(mutex_);
-    if (shutdown_) {
-      refusal = QueryStatus::kShutdown;
-    } else if (queue_.size() >= config_.max_queue) {
-      refusal = QueryStatus::kRejectedQueueFull;
-    } else {
-      queue_.push_back(std::move(pending));
-    }
-  }
-  if (refusal == QueryStatus::kOk) {
-    cv_.notify_one();
-    return future;
-  }
-  QueryResult result;
-  result.status = refusal;
-  complete(pending, std::move(result));
-  return future;
+  return core_.submit(tenant_.load(std::memory_order_acquire), query);
 }
 
-void BfsService::scheduler_loop() {
-  // Attach here, on the scheduler thread itself, so the handle has a
-  // single writer for its whole life (the constructor's init list
-  // starts this thread before the body could attach safely).
-  if (config_.bfs.telemetry != nullptr) {
-    sched_trace_.attach(*config_.bfs.telemetry, "service.scheduler");
-  }
-  for (;;) {
-    std::vector<Pending> expired, stale, batch, kernel_batch;
-    std::vector<PendingUpdate> updates;
-    std::shared_ptr<GraphContext> ctx;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [&] {
-        return shutdown_ || !queue_.empty() || !update_queue_.empty();
-      });
-      if (shutdown_) break;
-      while (!update_queue_.empty()) {
-        updates.push_back(std::move(update_queue_.front()));
-        update_queue_.pop_front();
-      }
-    }
-    // Updates apply first, at this quiescent window (no wave in
-    // flight), so the batch formed below runs against the new version.
-    if (!updates.empty()) process_updates(updates);
-    {
-      std::unique_lock lock(mutex_);
-      if (queue_.empty()) continue;
-      ctx = ctx_;
-      const auto now = Clock::now();
-      // One pass over the queue: expire deadlines, flush version
-      // mismatches (belt and braces — register_graph already flushes),
-      // and coalesce the rest into <= max_batch distinct sources.
-      // Queries whose source is already in the batch ride along for
-      // free regardless of the width cap.
-      std::deque<Pending> remain;
-      std::vector<vid_t> sources;
-      for (auto& pending : queue_) {
-        if (!ctx || pending.version != ctx->version) {
-          stale.push_back(std::move(pending));
-        } else if (pending.has_deadline && pending.deadline <= now) {
-          expired.push_back(std::move(pending));
-        } else if (is_kernel_query(pending.query.kind)) {
-          // Kernel queries never occupy wave slots — they share one
-          // memoized kernel run per version, not a wave.
-          kernel_batch.push_back(std::move(pending));
-        } else if (std::find(sources.begin(), sources.end(),
-                             pending.query.source) != sources.end()) {
-          batch.push_back(std::move(pending));
-        } else if (sources.size() <
-                   static_cast<std::size_t>(config_.max_batch)) {
-          sources.push_back(pending.query.source);
-          batch.push_back(std::move(pending));
-        } else {
-          remain.push_back(std::move(pending));
-        }
-      }
-      queue_.swap(remain);
-    }
-    for (auto& pending : stale) {
-      QueryResult result;
-      result.status = QueryStatus::kStaleGraph;
-      complete(pending, std::move(result));
-    }
-    for (auto& pending : expired) {
-      QueryResult result;
-      result.status = QueryStatus::kTimeout;
-      complete(pending, std::move(result));
-    }
-    if (!batch.empty()) execute_batch(ctx, batch);
-    if (!kernel_batch.empty()) execute_kernel_queries(ctx, kernel_batch);
-  }
-
-  // Shutdown: every still-queued query completes (futures never hang),
-  // and still-queued update promises break with an explicit error.
-  std::deque<Pending> leftover;
-  std::deque<PendingUpdate> leftover_updates;
-  {
-    std::lock_guard lock(mutex_);
-    leftover.swap(queue_);
-    leftover_updates.swap(update_queue_);
-  }
-  for (auto& pending : leftover) {
-    QueryResult result;
-    result.status = QueryStatus::kShutdown;
-    complete(pending, std::move(result));
-  }
-  for (auto& update : leftover_updates) {
-    update.promise.set_exception(std::make_exception_ptr(
-        std::runtime_error("BfsService::apply_updates: service shut down")));
-  }
+QueryResult BfsService::distance(vid_t source, vid_t target) {
+  return query({.kind = QueryKind::kDistance, .source = source,
+                .target = target});
 }
 
-void BfsService::process_updates(std::vector<PendingUpdate>& updates) {
-  for (PendingUpdate& update : updates) {
-    std::shared_ptr<GraphContext> ctx;
-    {
-      std::lock_guard lock(mutex_);
-      ctx = ctx_;
-    }
-    if (!ctx) {
-      update.promise.set_exception(
-          std::make_exception_ptr(std::invalid_argument(
-              "BfsService::apply_updates: no graph registered")));
-      continue;
-    }
-    const std::uint64_t apply_t0 = sched_trace_.now();
-    const std::uint64_t old_fingerprint = ctx->fingerprint;
-    BatchSummary summary;
-    try {
-      // Quiescent by construction: only this thread dispatches waves,
-      // and none is in flight (the roster pins would show one).
-      summary = ctx->dynamic->apply(update.batch);
-    } catch (...) {
-      update.promise.set_exception(std::current_exception());
-      continue;
-    }
-
-    // Clone the context cheaply (shared engines); a compaction swapped
-    // the base CSR, so only then do the engines rebuild — which is what
-    // keeps MsBfsSession's graph reference and the cached
-    // max_out_degree in step with the compacted graph.
-    auto next = std::make_shared<GraphContext>(*ctx);
-    next->graph = ctx->dynamic->base_csr();
-    next->snapshot = ctx->dynamic->snapshot();
-    next->fingerprint = ctx->dynamic->content_fingerprint();
-    // The kernel memo answers for one edge set only: drop it and let
-    // the next kernel query recompute on the updated snapshot.
-    next->kernels.reset();
-    if (summary.compacted) rebuild_engines(*next);
-
-    // Cone-scoped cache migration instead of a full flush: rows the
-    // batch cannot affect are revalidated as-is, affected rows are
-    // repaired in place by the incremental engine, and only rows whose
-    // deletion cone is too large to repair are dropped (recomputed on
-    // next demand).
-    std::uint64_t repaired = 0, revalidated = 0, waves = 0, cones = 0;
-    if (summary.changed() && cache_.enabled()) {
-      auto rows = cache_.extract_all(old_fingerprint);
-      for (auto& [source, levels] : rows) {
-        if (!levels) continue;
-        if (!batch_affects_levels(next->snapshot, *levels, summary)) {
-          cache_.insert(next->fingerprint, source, std::move(levels));
-          ++revalidated;
-          continue;
-        }
-        std::vector<level_t> fixed(*levels);
-        const RepairOutcome out =
-            next->repair->repair(next->snapshot, summary, source, fixed);
-        if (out.repaired) {
-          cache_.insert(next->fingerprint, source,
-                        std::make_shared<const std::vector<level_t>>(
-                            std::move(fixed)));
-          ++repaired;
-          waves += out.waves;
-        } else {
-          ++cones;
-        }
-      }
-    }
-
-    std::uint64_t version = 0;
-    {
-      std::lock_guard lock(mutex_);
-      version = ++next_version_;
-      next->version = version;
-      const std::uint64_t old_version = ctx->version;
-      ctx_ = std::move(next);
-      // Migrate, don't flush: still-queued queries re-stamp onto the
-      // updated graph (n is unchanged, so their validation holds) and
-      // answer against the repaired version.
-      for (Pending& pending : queue_) {
-        if (pending.version == old_version) pending.version = version;
-      }
-    }
-    {
-      std::lock_guard lock(stats_mutex_);
-      std::uint64_t* ctr = query_counters_.slab(0);
-      ctr[kUpdateBatches] += 1;
-      ctr[kEdgesInserted] += summary.inserted;
-      ctr[kEdgesDeleted] += summary.erased;
-      if (summary.compacted) ctr[kCompactions] += 1;
-      ctr[kResultsRepaired] += repaired;
-      ctr[kResultsRevalidated] += revalidated;
-      ctr[kRepairWaves] += waves;
-      ctr[kConeRecomputes] += cones;
-    }
-    sched_trace_.span(kEvApplyBatch, apply_t0,
-                      summary.inserted + summary.erased);
-    update.promise.set_value(version);
-  }
+QueryResult BfsService::path(vid_t source, vid_t target) {
+  return query({.kind = QueryKind::kPath, .source = source, .target = target});
 }
 
-void BfsService::execute_batch(const std::shared_ptr<GraphContext>& ctx,
-                               std::vector<Pending>& batch) {
-  const auto dispatch_start = Clock::now();
-  const std::uint64_t dispatch_t0 = sched_trace_.now();
-  const vid_t n = ctx->graph->num_vertices();
-  std::vector<vid_t> sources;
-  sources.reserve(batch.size());
-  for (const Pending& pending : batch) {
-    if (std::find(sources.begin(), sources.end(), pending.query.source) ==
-        sources.end()) {
-      sources.push_back(pending.query.source);
-    }
-  }
-
-  // Pin this dispatch's version into the reader roster (plain store):
-  // the observable form of "a traversal is in flight", which the
-  // update path's quiescence assertions check against. RAII so an
-  // engine throwing mid-batch still unpins.
-  const EpochRoster::Pin pin(ctx->dynamic->roster(), 0, ctx->version);
-
-  std::vector<std::shared_ptr<const std::vector<level_t>>> levels(
-      sources.size());
-  if (ctx->snapshot.has_delta()) {
-    // A live delta overlay means the base CSR the engines traverse is
-    // stale; the incremental engine's wave machinery is the delta-aware
-    // path until the next compaction folds the overlay back in.
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      ctx->repair->recompute(ctx->snapshot, sources[s], scratch_levels_);
-      levels[s] =
-          std::make_shared<const std::vector<level_t>>(scratch_levels_);
-    }
-    std::lock_guard lock(stats_mutex_);
-    if (sources.size() == 1) {
-      ++query_counters_.slab(0)[kSingleDispatches];
-    } else {
-      ++query_counters_.slab(0)[kWaves];
-    }
-    ++batch_histogram_[sources.size()];
-  } else if (sources.size() == 1) {
-    // Wave of one: the single-source hybrid engine is strictly cheaper
-    // than a one-bit MS-BFS (no mask arbitration, direction switching).
-    ctx->single_engine->run(sources[0], scratch_single_);
-    levels[0] =
-        std::make_shared<const std::vector<level_t>>(scratch_single_.level);
-    std::lock_guard lock(stats_mutex_);
-    ++query_counters_.slab(0)[kSingleDispatches];
-    ++batch_histogram_[1];
-  } else {
-    ctx->session->run(sources, scratch_wave_);
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      const auto* row =
-          scratch_wave_.distance.data() + s * static_cast<std::size_t>(n);
-      levels[s] = std::make_shared<const std::vector<level_t>>(row, row + n);
-    }
-    std::lock_guard lock(stats_mutex_);
-    ++query_counters_.slab(0)[kWaves];
-    ++batch_histogram_[sources.size()];
-  }
-
-  for (std::size_t s = 0; s < sources.size(); ++s) {
-    cache_.insert(ctx->fingerprint, sources[s], levels[s]);
-  }
-  for (auto& pending : batch) {
-    const std::size_t slot = static_cast<std::size_t>(
-        std::find(sources.begin(), sources.end(), pending.query.source) -
-        sources.begin());
-    // Per-query latency breakdown: time queued waiting for a wave slot
-    // vs time inside the dispatch (arg = the query's source).
-    sched_trace_.span_between(kEvQueueWait, pending.submitted,
-                              dispatch_start, pending.query.source);
-    complete(pending,
-             finalize_levels_query(pending.query, ctx->snapshot, ctx->version,
-                                   levels[slot], /*cache_hit=*/false));
-    if (sched_trace_.attached()) {
-      sched_trace_.span_between(kEvExecute, dispatch_start, Clock::now(),
-                                pending.query.source);
-    }
-  }
-  sched_trace_.span(kEvBatchDispatch, dispatch_t0,
-                    static_cast<std::uint64_t>(sources.size()));
+QueryResult BfsService::level_set(vid_t source, level_t depth) {
+  return query({.kind = QueryKind::kLevelSet, .source = source,
+                .depth = depth});
 }
 
-void BfsService::execute_kernel_queries(
-    const std::shared_ptr<GraphContext>& ctx, std::vector<Pending>& batch) {
-  const std::uint64_t dispatch_t0 = sched_trace_.now();
-  if (!ctx->kernels) ctx->kernels = std::make_shared<SharedKernelMemo>();
-  SharedKernelMemo& memo = *ctx->kernels;
-
-  bool need_cc = false, need_core = false, need_rank = false;
-  for (const Pending& pending : batch) {
-    switch (pending.query.kind) {
-      case QueryKind::kComponents:
-        need_cc = true;
-        break;
-      case QueryKind::kCoreNumber:
-        need_core = true;
-        break;
-      case QueryKind::kRankTopK:
-        need_rank = true;
-        break;
-      default:
-        break;
-    }
-  }
-
-  // Recompute-on-snapshot: a live delta overlay means the base CSR is
-  // stale for kernels, so the memo materializes CSR ∪ delta lazily and
-  // runs every missing flavor against it. (Same quiescence argument as
-  // execute_batch: only this thread dispatches, no wave in flight.)
-  BFSOptions opts = config_.bfs;
-  opts.num_threads = config_.num_threads;
-  opts.prefetch_distance = ctx->kernel_prefetch_distance;
-  const SharedKernelMemo::Access access = memo.ensure(
-      need_cc, need_core, need_rank,
-      [&]() -> std::shared_ptr<const CsrGraph> {
-        if (ctx->snapshot.has_delta()) {
-          return std::make_shared<const CsrGraph>(
-              CsrGraph::from_edges(ctx->snapshot.to_edge_list()));
-        }
-        return ctx->graph;
-      },
-      opts);
-  // "Hit" is decided against the memo as this dispatch found it; every
-  // query in the batch that needed a kernel run shared that one run.
-  const bool cc_hit = access.components_hit;
-  const bool core_hit = access.core_hit;
-  const bool rank_hit = access.rank_hit;
-
-  std::uint64_t hits = 0;
-  for (const Pending& pending : batch) {
-    const QueryKind kind = pending.query.kind;
-    if ((kind == QueryKind::kComponents && cc_hit) ||
-        (kind == QueryKind::kCoreNumber && core_hit) ||
-        (kind == QueryKind::kRankTopK && rank_hit)) {
-      ++hits;
-    }
-  }
-  {
-    // Count before completing: a caller who blocks on the future and
-    // immediately reads stats() must see this dispatch included.
-    std::lock_guard lock(stats_mutex_);
-    std::uint64_t* ctr = query_counters_.slab(0);
-    ctr[kKernelQueries] += batch.size();
-    ctr[kKernelCacheHits] += hits;
-    ctr[kKernelRecomputes] += access.recomputes;
-  }
-
-  for (Pending& pending : batch) {
-    QueryResult result;
-    result.status = QueryStatus::kOk;
-    result.graph_version = ctx->version;
-    switch (pending.query.kind) {
-      case QueryKind::kComponents:
-        result.component = memo.components()[pending.query.source];
-        result.component_size = memo.size_by_label()[result.component];
-        result.cache_hit = cc_hit;
-        break;
-      case QueryKind::kCoreNumber:
-        result.core = memo.core()[pending.query.source];
-        result.cache_hit = core_hit;
-        break;
-      case QueryKind::kRankTopK: {
-        const auto& ranked = memo.rank_sorted();
-        const std::size_t k = std::min(
-            static_cast<std::size_t>(pending.query.topk), ranked.size());
-        result.topk.assign(ranked.begin(),
-                           ranked.begin() + static_cast<std::ptrdiff_t>(k));
-        result.cache_hit = rank_hit;
-        break;
-      }
-      default:
-        result.status = QueryStatus::kInvalid;
-        break;
-    }
-    complete(pending, std::move(result));
-  }
-  sched_trace_.span(kEvBatchDispatch, dispatch_t0,
-                    static_cast<std::uint64_t>(batch.size()));
+QueryResult BfsService::components_of(vid_t v) {
+  return query({.kind = QueryKind::kComponents, .source = v});
 }
 
-QueryResult finalize_levels_query(
-    const Query& query, const GraphSnapshot& snapshot, std::uint64_t version,
-    std::shared_ptr<const std::vector<level_t>> levels, bool cache_hit) {
-  QueryResult result;
-  result.status = QueryStatus::kOk;
-  result.cache_hit = cache_hit;
-  result.graph_version = version;
-  const std::vector<level_t>& lv = *levels;
-  switch (query.kind) {
-    case QueryKind::kDistance:
-      if (query.target != kInvalidVertex) result.distance = lv[query.target];
-      break;
-    case QueryKind::kPath: {
-      result.distance = lv[query.target];
-      if (result.distance != kUnvisited) {
-        // Walk backwards over the in-edge view: any in-neighbor one
-        // level closer is a valid predecessor (the engines'
-        // arbitrary-parent rule, applied lazily at query time). The
-        // snapshot's for_each_in is delta-aware — deleted base edges
-        // are unusable and spilled inserts are usable — and handles
-        // the original-vs-internal ID translation on reordered graphs.
-        const GraphSnapshot& snap = snapshot;
-        std::vector<vid_t> reversed{query.target};
-        vid_t v = query.target;
-        for (level_t l = result.distance; l > 0; --l) {
-          snap.for_each_in(v, [&](vid_t u) {
-            if (lv[u] == l - 1) {
-              v = u;
-              return false;
-            }
-            return true;
-          });
-          reversed.push_back(v);
-        }
-        result.path.assign(reversed.rbegin(), reversed.rend());
-      }
-      break;
-    }
-    case QueryKind::kLevelSet:
-      for (vid_t v = 0; v < static_cast<vid_t>(lv.size()); ++v) {
-        if (lv[v] == query.depth) result.members.push_back(v);
-      }
-      break;
-    case QueryKind::kComponents:
-    case QueryKind::kCoreNumber:
-    case QueryKind::kRankTopK:
-      // Kernel-typed queries are never answered from a level array;
-      // the service schedulers complete them from a SharedKernelMemo
-      // before reaching here.
-      break;
-  }
-  result.levels = std::move(levels);
-  return result;
+QueryResult BfsService::core_number(vid_t v) {
+  return query({.kind = QueryKind::kCoreNumber, .source = v});
 }
 
-void BfsService::complete(Pending& pending, QueryResult result) {
-  result.latency_ms = ms_since(pending.submitted);
-  {
-    std::lock_guard lock(stats_mutex_);
-    std::uint64_t* ctr = query_counters_.slab(0);
-    switch (result.status) {
-      case QueryStatus::kOk:
-        ++ctr[kQueriesCompleted];
-        latencies_.record(result.latency_ms);
-        break;
-      case QueryStatus::kRejectedQueueFull:
-        ++ctr[kQueriesRejected];
-        break;
-      case QueryStatus::kTimeout:
-        ++ctr[kQueriesTimedOut];
-        break;
-      case QueryStatus::kStaleGraph:
-        ++ctr[kQueriesStaleGraph];
-        break;
-      case QueryStatus::kShutdown:
-        ++ctr[kQueriesShutdownFlushed];
-        break;
-      case QueryStatus::kInvalid:
-        break;
-      case QueryStatus::kQuotaRejected:
-        ++ctr[kQueriesQuotaRejected];
-        break;
-      case QueryStatus::kShed:
-        ++ctr[kQueriesShed];
-        break;
-    }
-  }
-  pending.promise.set_value(std::move(result));
+QueryResult BfsService::rank_topk(int k) {
+  return query({.kind = QueryKind::kRankTopK, .topk = k});
+}
+
+ServiceStats BfsService::stats() const {
+  return core_.stats(tenant_.load(std::memory_order_acquire));
+}
+
+ArenaStats BfsService::arena_stats() const {
+  return core_.arena_stats(tenant_.load(std::memory_order_acquire));
 }
 
 }  // namespace optibfs

@@ -1,262 +1,77 @@
-// BFS query service: a batching scheduler over the optimistic engines.
+// BFS query service: one graph served by the serving core
+// (scaleout/scaleout_service, DESIGN.md section 4) as a one-tenant,
+// one-replica ScaleoutService that never sheds.
 //
 // The library's engines answer one source at a time; a service fronting
 // "millions of users" sees a stream of cheap point queries instead —
-// distance(src), path(src, dst), level-set(src) — and paying a full
-// engine dispatch per query wastes the property that makes BFS batching
-// work: concurrent traversals of the same graph overlap heavily, and
-// MS-BFS (core/msbfs) shares their adjacency scans at a cost of one
-// mask word per vertex.
-//
-// BfsService therefore decouples admission from execution:
-//
-//   callers --submit()--> bounded queue --scheduler--> MS-BFS wave
-//                                       (coalesce <=W)  on a persistent
-//                                                       ForkJoinPool
-//
-// * Admission: a bounded queue with backpressure (kRejectedQueueFull
-//   once full) and a per-query deadline that bounds *queue wait* —
-//   a query still waiting when its deadline passes completes with
-//   kTimeout instead of occupying a wave slot.
-// * Batching: the scheduler drains the queue, coalescing queries into
-//   at most `max_batch` (<= 64) distinct sources per MS-BFS wave;
-//   duplicate-source queries share one wave slot and one result array.
-//   A batch that degenerates to a single distinct source skips MS-BFS
-//   and runs on a persistent single-source hybrid engine (BFS_CL_H by
-//   default) instead, which is strictly cheaper for batch width 1.
-// * Execution: waves run as team sessions on one long-lived
-//   ForkJoinPool (ForkJoinPool::run_team) — no thread create/join per
-//   query or per wave.
-// * Caching: answered level arrays go into a versioned LRU byte-budget
-//   cache (service/result_cache); a repeat query for a cached source is
-//   answered at submit time without touching the scheduler.
-// * Re-registration: register_graph() bumps the graph version, flushes
-//   still-queued queries as kStaleGraph, and invalidates the cache —
-//   queries never observe a graph other than the one they were admitted
-//   against.
-//
-// Every count the scheduler makes (batch-width histogram, cache hit
-// rate, latency percentiles) is exported through ServiceStats /
-// stats().to_json() onto the benches' --json path.
+// distance(src), path(src, dst), level-set(src) — and concurrent
+// traversals of the same graph overlap heavily. The replica therefore
+// coalesces queued queries into MS-BFS waves of up to max_batch
+// distinct sources (core/msbfs), runs a wave of one on the batch-of-1
+// engine, and repeat sources are answered from a versioned result
+// cache at submit time. Updates apply on the core's mutator thread
+// while waves in flight stay pinned on copy-on-write snapshots. Every
+// count the replica makes (batch-width histogram, cache hit rate,
+// latency percentiles) is exported through ServiceStats.
 #pragma once
 
-#include <array>
-#include <chrono>
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
-#include "core/bfs_engine.hpp"
-#include "core/bfs_options.hpp"
-#include "core/msbfs.hpp"
-#include "dynamic/dynamic_graph.hpp"
-#include "dynamic/incremental_bfs.hpp"
 #include "graph/csr_graph.hpp"
-#include "runtime/fork_join_pool.hpp"
-#include "service/kernel_memo.hpp"
-#include "service/result_cache.hpp"
+#include "scaleout/scaleout_service.hpp"
 #include "service/service_stats.hpp"
+#include "service/serving.hpp"
 
 namespace optibfs {
 
-enum class QueryKind {
-  kDistance,  ///< hops source -> target (or the full array if no target)
-  kPath,      ///< one shortest path source -> target
-  kLevelSet,  ///< every vertex at exactly `depth` hops from source
-  // Kernel-typed kinds (DESIGN.md section 11): answered by the
-  // scheduler from a per-version kernel memo shared across queries,
-  // recomputed on the current CSR ∪ delta snapshot after updates.
-  kComponents,  ///< connected component of `source` (CC kernel)
-  kCoreNumber,  ///< coreness of `source` (KCORE kernel)
-  kRankTopK,    ///< top-`topk` vertices by PageRank (PRDELTA kernel)
-};
-
-enum class QueryStatus {
-  kOk,
-  kRejectedQueueFull,  ///< backpressure: admission queue at capacity
-  kTimeout,            ///< deadline expired while queued
-  kStaleGraph,         ///< graph re-registered before the query ran
-  kShutdown,           ///< service destroyed with the query still queued
-  kInvalid,            ///< no graph registered / vertex out of range
-  // Scale-out front tier (DESIGN.md section 14; unused by BfsService
-  // itself, which has neither quotas nor a shedding dispatcher):
-  kQuotaRejected,  ///< tenant token bucket empty at admission
-  kShed,           ///< load-shed: predicted queue wait exceeds slack
-};
-
-struct Query {
-  QueryKind kind = QueryKind::kDistance;
-  vid_t source = 0;
-  /// kDistance / kPath target. kInvalidVertex on kDistance means "full
-  /// distance array only" (the result's `levels` field).
-  vid_t target = kInvalidVertex;
-  level_t depth = 0;  ///< kLevelSet ring depth
-  int topk = 10;      ///< kRankTopK result width (must be >= 1)
-  /// Queue-wait budget in ms: < 0 inherits ServiceConfig default, 0
-  /// expires immediately unless served from cache (load-shed probe),
-  /// > 0 bounds the time the query may wait for a wave slot.
-  double timeout_ms = -1.0;
-};
-
-struct QueryResult {
-  QueryStatus status = QueryStatus::kInvalid;
-  /// kDistance/kPath: hops source -> target (kUnvisited if unreachable
-  /// or no target was given).
-  level_t distance = kUnvisited;
-  /// kPath: source..target inclusive; empty if unreachable.
-  std::vector<vid_t> path;
-  /// kLevelSet: ascending vertex ids at exactly `depth` hops.
-  std::vector<vid_t> members;
-  /// kComponents: canonical component label (the smallest original
-  /// vertex id in the component) and the component's vertex count.
-  vid_t component = kInvalidVertex;
-  std::uint64_t component_size = 0;
-  /// kCoreNumber: the largest k such that `source` survives k-core
-  /// peeling.
-  std::uint32_t core = 0;
-  /// kRankTopK: (vertex, rank) pairs by descending PageRank (ties by
-  /// ascending id), truncated to the query's `topk`.
-  std::vector<std::pair<vid_t, double>> topk;
-  /// Full level array from the query's source (shared with the cache
-  /// and with coalesced queries of the same source). Set iff kOk on the
-  /// BFS-typed kinds; kernel-typed results never carry levels.
-  std::shared_ptr<const std::vector<level_t>> levels;
-  bool cache_hit = false;
-  std::uint64_t graph_version = 0;
-  double latency_ms = 0.0;
-
-  bool ok() const { return status == QueryStatus::kOk; }
-};
-
-/// Renders a BFS-typed (levels-answerable) query's result from a full
-/// level array: distance lookup, lazy predecessor walk over the
-/// snapshot's in-edge view for kPath, ring collection for kLevelSet.
-/// Factored out of BfsService so the scale-out tier's replicas
-/// (scaleout/scaleout_service) produce bit-identical results from the
-/// same level arrays. Kernel-typed kinds return with the levels
-/// attached but no kind-specific fields (callers answer those from a
-/// SharedKernelMemo instead).
-QueryResult finalize_levels_query(
-    const Query& query, const GraphSnapshot& snapshot, std::uint64_t version,
-    std::shared_ptr<const std::vector<level_t>> levels, bool cache_hit);
-
-struct ServiceConfig {
-  /// Workers in the persistent pool (wave team width) and in the
-  /// single-source fallback engine.
+struct ServiceConfig : ServingConfig {
+  /// Width of the one replica's team: MS-BFS waves, the batch-of-1
+  /// engine, and the repair engine.
   int num_threads = 4;
-  /// W: max distinct sources coalesced into one MS-BFS wave, clamped to
-  /// [1, MsBfsSession::kMaxBatch]. 1 degenerates to one-query-at-a-time
-  /// dispatch (the bench baseline).
-  int max_batch = 64;
-  /// Admission-queue bound; submissions beyond it are rejected
-  /// (kRejectedQueueFull). 0 rejects everything not served by cache.
-  std::size_t max_queue = 1024;
-  /// Default queue-wait deadline (ms); < 0 = no deadline.
-  double default_timeout_ms = -1.0;
-  /// Result-cache byte budget; 0 disables caching.
-  std::size_t cache_bytes = std::size_t{64} << 20;
-  /// Dynamic graphs: compact the delta overlay back into a fresh CSR
-  /// once it exceeds this fraction of the base edge count
-  /// (DynamicGraph::Config::compact_threshold). <= 0 never compacts.
-  double compact_threshold = 0.125;
-  /// Dynamic graphs: abandon incremental repair of a cached result (and
-  /// recompute it on next demand) when a deletion's invalidation cone
-  /// exceeds this fraction of n
-  /// (IncrementalBfsEngine::Config::cone_recompute_fraction).
-  double cone_recompute_fraction = 0.25;
-  /// Registry name of the batch-of-1 fallback engine — the
-  /// strict-vs-relaxed choice: any level-synchronous name (BFS_CL_H by
-  /// default) or the asynchronous BFS_ASYNC for high-diameter graphs
-  /// where barriers x diameter dominate. The resolved engine name is
-  /// recorded in ServiceStats::single_source_engine so BENCH
-  /// comparisons are self-describing.
-  std::string single_source_engine = "BFS_CL_H";
-  /// Prefetch auto-tune (DESIGN.md sections 3.1a and 13): at
-  /// register_graph, time prefetch_distance candidates {0, 4, 8, 16}
-  /// and build the graph's engines with the winners, instead of
-  /// trusting a fixed default (a fixed 8 regressed BENCH_locality on
-  /// mesh-like graphs; a fixed 0 leaves rmat wins on the table — the
-  /// postmortem is in EXPERIMENTS.md). Three traversal families are
-  /// probed independently (service/prefetch_tuner): the single-source
-  /// engine, MS-BFS waves, and the edgemap kernels, whose hot probe
-  /// arrays differ. Skipped — config_.bfs.prefetch_distance is used
-  /// as-is — when disabled or when the graph is too small for the
-  /// probe to measure anything (n < 32768). The chosen distances land
-  /// in ServiceStats::{prefetch_distance, wave_prefetch_distance,
-  /// kernel_prefetch_distance}, with prefetch_provenance recording
-  /// whether they were probed or passed through.
-  bool autotune_prefetch = true;
-  /// Vertex-reorder preprocessing applied to every registered graph
-  /// (CsrGraph::reorder). Purely internal: queries, results, and cached
-  /// level arrays stay in the caller's original vertex IDs — the
-  /// engines remap at their boundaries (bfs_result.hpp convention).
-  ReorderPolicy reorder = ReorderPolicy::kNone;
-  /// Reorder auto-selection (the locality layer's registration-time
-  /// sibling of autotune_prefetch): when `reorder` is kNone, probe the
-  /// degree distribution at register_graph and serve scale-free graphs
-  /// (heavy tail — max degree >> mean — with a plausible power-law
-  /// exponent) under kHubCluster; mesh-like graphs stay unreordered.
-  /// An explicit `reorder` policy always wins, and graphs too small for
-  /// the probe to matter (n < 32768) are served as-is. The resolved
-  /// policy is recorded in ServiceStats::reorder_policy.
-  bool autotune_reorder = true;
-  /// Storage tier (DESIGN.md §12): residency budget in bytes applied to
-  /// the registered graph's storage backend (and propagated into every
-  /// engine's BFSOptions). Only meaningful for mmap-backed graphs
-  /// (register_graph_file); heap graphs ignore it. 0 = uncapped.
-  std::uint64_t storage_budget_bytes = 0;
-  /// Engine/wave tuning knobs (num_threads is overridden by
-  /// `num_threads` above).
-  BFSOptions bfs;
 };
 
 class BfsService {
  public:
   explicit BfsService(ServiceConfig config = {});
-  ~BfsService();
 
   BfsService(const BfsService&) = delete;
   BfsService& operator=(const BfsService&) = delete;
 
-  /// Registers (or replaces) the served graph. Returns the new graph
-  /// version. Queries still queued against the previous graph complete
-  /// with kStaleGraph. Cached results are kept or dropped by *content*:
-  /// the cache is keyed by a reorder-invariant structural fingerprint
+  /// Registers (or replaces) the served graph and returns the new graph
+  /// version; versions strictly increase across register_graph and
+  /// apply_updates. Queries still queued against the previous graph
+  /// complete with kStaleGraph, queries already executing answer at the
+  /// old version. Cached results are kept or dropped by *content*: the
+  /// cache is keyed by a reorder-invariant structural fingerprint
   /// (DynamicGraph::content_fingerprint), so re-registering the same
-  /// graph — e.g. with only ServiceConfig::reorder changed — preserves
-  /// every valid row, while any content change evicts them all.
+  /// graph — e.g. pre-reordered — keeps every row, while any content
+  /// change drops them.
   std::uint64_t register_graph(std::shared_ptr<const CsrGraph> graph);
 
   /// Registers a graph straight from a binary-CSR-v2 file (DESIGN.md
   /// §12). With kMmap (the default) the graph is demand-paged under
-  /// ServiceConfig::storage_budget_bytes instead of copied into RAM; a
-  /// permutation persisted in the file keeps queries in original
-  /// vertex IDs. Reorder auto-tuning is skipped for mmap graphs (an
-  /// in-RAM reordered copy would defeat the point — pre-reorder the
-  /// file offline instead); an explicit ServiceConfig::reorder still
-  /// wins and falls back to a heap copy.
+  /// ServiceConfig::storage_budget_bytes instead of copied into RAM and
+  /// served unreordered (pre-reorder the file offline; an explicit
+  /// ServiceConfig::reorder still wins and falls back to a heap copy).
   std::uint64_t register_graph_file(
       const std::string& path,
       storage::StorageKind kind = storage::StorageKind::kMmap);
 
   std::uint64_t graph_version() const;
 
-  /// Applies a batch of edge updates to the registered graph and
-  /// returns the new graph version. Blocks until the scheduler has
-  /// applied the batch at a quiescent window (no wave in flight — the
-  /// same barrier-window discipline the engines aggregate telemetry
-  /// under). Queued queries migrate to the new version instead of going
-  /// stale; cached results are repaired in place by the incremental
-  /// engine where the batch affects them, revalidated untouched where
-  /// it does not, and dropped only when a deletion cone is too large to
-  /// repair. Throws std::invalid_argument with no graph registered and
+  /// Applies a batch of edge updates and returns the new graph version.
+  /// The mutator applies it while waves in flight stay pinned on their
+  /// snapshot; queued queries answer at the new version; cached results
+  /// are repaired in place by the incremental engine where the batch
+  /// affects them, revalidated untouched where it does not, and dropped
+  /// only when a deletion cone is too large to repair. Throws
+  /// std::invalid_argument with no graph registered (or when a
+  /// register_graph replaced the graph while the batch was applying) and
   /// std::out_of_range for updates naming vertices outside the graph.
   std::uint64_t apply_updates(UpdateBatch batch);
 
@@ -273,131 +88,26 @@ class BfsService {
   QueryResult path(vid_t source, vid_t target);
   QueryResult level_set(vid_t source, level_t depth);
 
-  /// Kernel-typed conveniences (DESIGN.md section 11). These ride the
-  /// same admission queue, deadlines, and versioning as BFS queries;
-  /// the scheduler answers them from a per-version kernel memo that is
-  /// dropped by apply_updates (recompute-on-snapshot repair).
+  /// Kernel-typed conveniences (DESIGN.md section 11), answered from a
+  /// per-version kernel memo that the next update batch drops
+  /// (recompute-on-snapshot repair).
   QueryResult components_of(vid_t v);
   QueryResult core_number(vid_t v);
   QueryResult rank_topk(int k);
 
-  /// Queries currently waiting for a wave slot.
-  std::size_t pending() const;
-
   ServiceStats stats() const;
 
-  /// Combined scratch-arena accounting for the current graph's engines
-  /// (single-source fallback + MS-BFS session): after one warmup
-  /// dispatch per path, every further dispatch is a reuse — the
-  /// steady-state zero-allocation claim, made checkable. Call at a
-  /// quiescent point (no in-flight queries) for exact figures.
+  /// Scratch-arena accounting of the graph's engines (batch-of-1 engine
+  /// + MS-BFS session): after one warmup dispatch per path, every
+  /// further dispatch is a reuse — the steady-state zero-allocation
+  /// claim, made checkable. Exact at a quiescent point.
   ArenaStats arena_stats() const;
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Pending {
-    Query query;
-    std::promise<QueryResult> promise;
-    std::uint64_t version = 0;
-    Clock::time_point submitted;
-    bool has_deadline = false;
-    Clock::time_point deadline;
-  };
-
-  struct PendingUpdate {
-    UpdateBatch batch;
-    std::promise<std::uint64_t> promise;
-  };
-
-  /// Everything tied to one registered graph *version*. The scheduler
-  /// takes a shared_ptr snapshot per batch, so register_graph and
-  /// apply_updates can swap the context mid-wave without racing the
-  /// wave (the old context — including its GraphSnapshot's base CSR and
-  /// delta overlay — stays alive until the wave drops its reference).
-  /// apply_updates clones the context cheaply (shared engines); only a
-  /// compaction rebuilds the engines over the fresh CSR, which is what
-  /// keeps MsBfsSession and the cached max_out_degree observing the
-  /// compacted graph instead of the retired base.
-  struct GraphContext {
-    std::shared_ptr<const CsrGraph> graph;  ///< current base CSR
-    std::uint64_t version = 0;
-    std::uint64_t fingerprint = 0;  ///< cache key: content identity
-    /// Prefetch lookaheads this graph's engines were built with (the
-    /// auto-tune probes' per-family winners, or
-    /// config.bfs.prefetch_distance when the probe was skipped —
-    /// prefetch_probed records which).
-    int prefetch_distance = 0;         ///< batch-of-1 engine
-    int wave_prefetch_distance = 0;    ///< MS-BFS session
-    int kernel_prefetch_distance = 0;  ///< kernel memo runs
-    bool prefetch_probed = false;      ///< probed vs configured
-    std::shared_ptr<DynamicGraph> dynamic;
-    GraphSnapshot snapshot;  ///< CSR ∪ delta at this version
-    std::shared_ptr<ParallelBFS> single_engine;
-    std::shared_ptr<MsBfsSession> session;
-    std::shared_ptr<IncrementalBfsEngine> repair;
-    /// Resolved reorder policy this graph is served under: the
-    /// configured one, or the registration-time auto-probe's pick
-    /// (ServiceConfig::autotune_reorder).
-    ReorderPolicy reorder_policy = ReorderPolicy::kNone;
-    /// Kernel memo for this version (service/kernel_memo): null until
-    /// the first kernel-typed query, reset by process_updates so a
-    /// memo never outlives the edge set it was computed on. Only the
-    /// scheduler thread touches it here; the scale-out tier shares the
-    /// same type across replicas (its mutex is the sharing mechanism).
-    std::shared_ptr<SharedKernelMemo> kernels;
-  };
-
-  void scheduler_loop();
-  void execute_batch(const std::shared_ptr<GraphContext>& ctx,
-                     std::vector<Pending>& batch);
-  /// Scheduler-thread only: answers kernel-typed queries from the
-  /// context's kernel memo, running the kernels the memo misses on the
-  /// current CSR ∪ delta view first.
-  void execute_kernel_queries(const std::shared_ptr<GraphContext>& ctx,
-                              std::vector<Pending>& batch);
-  /// Scheduler-thread only: applies queued update batches at a
-  /// quiescent window and migrates cache rows + queued queries.
-  void process_updates(std::vector<PendingUpdate>& updates);
-  /// (Re)builds the per-graph engines over ctx.graph — at registration
-  /// and after every compaction (a fresh CSR invalidates MsBfsSession's
-  /// graph reference and the cached max_out_degree).
-  void rebuild_engines(GraphContext& ctx);
-  void complete(Pending& pending, QueryResult result);
-
-  ServiceConfig config_;
-  std::unique_ptr<ForkJoinPool> pool_;  // outlives every GraphContext
-  ResultCache cache_;
-
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<Pending> queue_;
-  std::deque<PendingUpdate> update_queue_;
-  std::shared_ptr<GraphContext> ctx_;
-  std::uint64_t next_version_ = 0;
-  bool shutdown_ = false;
-
-  mutable std::mutex stats_mutex_;
-  /// One-slab flight-recorder registry, bumped under stats_mutex_;
-  /// stats() renders it back through ServiceStats::from() so the
-  /// service and the engines share one counter vocabulary.
-  telemetry::CounterRegistry query_counters_{1};
-  std::array<std::uint64_t, 65> batch_histogram_{};
-  LatencyReservoir latencies_;
-
-  /// Scheduler-thread-only trace handle ("service.scheduler" slot):
-  /// batch-dispatch spans plus per-query queue-wait/execute spans.
-  /// Attached lazily at scheduler start from config_.bfs.telemetry.
-  telemetry::ThreadTrace sched_trace_;
-
-  // Scheduler-thread-only scratch: result buffers reused across
-  // dispatches so a query costs no full-size allocation beyond its
-  // shared level array.
-  BFSResult scratch_single_;
-  MsBfsResult scratch_wave_;
-  std::vector<level_t> scratch_levels_;  ///< delta-overlay dispatches
-
-  std::thread scheduler_;  ///< last member: joined before state teardown
+  std::mutex register_mutex_;  ///< serializes register_graph calls
+  /// The one tenant; 0 until the first registration, fixed after it.
+  std::atomic<scaleout::TenantId> tenant_{0};
+  scaleout::ScaleoutService core_;
 };
 
 }  // namespace optibfs

@@ -1,21 +1,14 @@
-// Replica-aware per-version kernel-query memo (DESIGN.md §11, §14).
+// Replica-aware per-version kernel-query memo (DESIGN.md §4.6, §11).
 //
 // Kernel-typed queries (components-of / core-number / rank-topk) are
 // answered from whole-graph kernel runs that are expensive relative to
-// any single answer, so the service memoizes one run per kernel flavor
-// per graph version. PR 7 kept that memo scheduler-thread-only — fine
-// for one engine team, wrong for a replica fleet: two replicas landing
-// kernel queries for the *same* version would each pay a full kernel
-// run.
-//
-// SharedKernelMemo promotes the memo to a first-class shared object:
-// the owning context (BfsService::GraphContext, or the scale-out
-// tier's TenantContext) holds one per version, and every engine team /
-// replica serving that version calls ensure(). The first caller runs
-// the missing kernels while holding the memo mutex; later callers for
-// the same flavor block on that mutex and find the result filled — one
-// run total, N sharers. The mutex is a documented exemption from the
-// no-locks discipline (DESIGN.md §14 census): it guards a cold
+// any single answer, so the serving core memoizes one run per kernel
+// flavor per graph version: each published TenantEpoch holds one, and
+// every replica serving that version calls ensure(). The first caller
+// runs the missing kernels while holding the memo mutex; later callers
+// for the same flavor block on that mutex and find the result filled —
+// one run total, N sharers. The mutex is a documented exemption from
+// the no-locks discipline (DESIGN.md §4.7 census): it guards a cold
 // memoization path, never a traversal hot path, and the alternative —
 // N replicas optimistically recomputing identical whole-graph kernels
 // — wastes exactly the work the memo exists to save.

@@ -19,11 +19,7 @@ ResultCache::LevelsPtr ResultCache::lookup(std::uint64_t fingerprint,
   if (!enabled()) return nullptr;
   std::lock_guard lock(mutex_);
   const auto it = index_.find(Key{fingerprint, source});
-  if (it == index_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
+  if (it == index_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);  // bump to MRU
   return it->second->levels;
 }
@@ -56,19 +52,6 @@ void ResultCache::evict_until_within_budget() {
   }
 }
 
-void ResultCache::retain_only(std::uint64_t fingerprint) {
-  std::lock_guard lock(mutex_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->key.fingerprint != fingerprint) {
-      bytes_ -= it->bytes;
-      index_.erase(it->key);
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 std::vector<std::pair<vid_t, ResultCache::LevelsPtr>> ResultCache::extract_all(
     std::uint64_t fingerprint) {
   std::vector<std::pair<vid_t, LevelsPtr>> out;
@@ -86,13 +69,6 @@ std::vector<std::pair<vid_t, ResultCache::LevelsPtr>> ResultCache::extract_all(
   return out;
 }
 
-void ResultCache::clear() {
-  std::lock_guard lock(mutex_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-}
-
 std::size_t ResultCache::entries() const {
   std::lock_guard lock(mutex_);
   return index_.size();
@@ -101,16 +77,6 @@ std::size_t ResultCache::entries() const {
 std::size_t ResultCache::bytes() const {
   std::lock_guard lock(mutex_);
   return bytes_;
-}
-
-std::uint64_t ResultCache::hits() const {
-  std::lock_guard lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t ResultCache::misses() const {
-  std::lock_guard lock(mutex_);
-  return misses_;
 }
 
 std::uint64_t ResultCache::evictions() const {

@@ -7,9 +7,9 @@
 // DynamicGraph::content_fingerprint (reorder-invariant, batch-chained),
 // so re-registering the *same* graph under a different reorder policy
 // keeps every cached row valid, while any content change misses by
-// construction. retain_only() garbage-collects rows for other
-// fingerprints; extract_all() removes and returns a fingerprint's rows
-// so the dynamic-update path can repair them in place and reinsert.
+// construction. extract_all() removes and returns a fingerprint's rows,
+// so the dynamic-update path can repair them in place and reinsert and
+// a graph replacement can drop the rows of content no longer served.
 //
 // Eviction is LRU under a byte budget (level arrays dominate, so the
 // budget is measured in payload bytes plus a fixed per-entry overhead).
@@ -37,7 +37,6 @@ class ResultCache {
   explicit ResultCache(std::size_t byte_budget);
 
   bool enabled() const { return byte_budget_ > 0; }
-  std::size_t byte_budget() const { return byte_budget_; }
 
   /// Returns the cached level array for (fingerprint, source) and marks
   /// it most-recently-used, or nullptr on miss. Thread-safe.
@@ -47,24 +46,15 @@ class ResultCache {
   /// budget holds. An entry larger than the whole budget is dropped.
   void insert(std::uint64_t fingerprint, vid_t source, LevelsPtr levels);
 
-  /// Drops every entry whose fingerprint differs (graph
-  /// re-registration: rows for the registered content survive, rows for
-  /// anything else are garbage).
-  void retain_only(std::uint64_t fingerprint);
-
   /// Removes and returns every (source, levels) row stored under
   /// `fingerprint`, MRU first — the dynamic-update path repairs these in
   /// place and reinserts the survivors under the new fingerprint.
   std::vector<std::pair<vid_t, LevelsPtr>> extract_all(
       std::uint64_t fingerprint);
 
-  void clear();
-
   // ---- observability (approximate under concurrency, exact when quiesced) ----
   std::size_t entries() const;
   std::size_t bytes() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
   std::uint64_t evictions() const;
 
  private:
@@ -97,8 +87,6 @@ class ResultCache {
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
   std::size_t bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
 };
 

@@ -1,4 +1,5 @@
-// Observability for the BFS query service.
+// Observability for the serving core: one stats struct for both front
+// doors (ScaleoutService and its one-tenant configuration BfsService).
 //
 // ServiceStats is a plain snapshot the service hands out under its own
 // locking; LatencyReservoir is the bounded sample store behind the
@@ -19,37 +20,55 @@
 
 namespace optibfs {
 
-struct ServiceStats {
-  // ---- admission / completion counters ----
-  std::uint64_t submitted = 0;       ///< every submit() call
-  std::uint64_t completed = 0;       ///< answered with kOk
-  std::uint64_t cache_hits = 0;      ///< served from the result cache
-  std::uint64_t rejected = 0;        ///< backpressure (queue full)
-  std::uint64_t timed_out = 0;       ///< deadline expired while queued
-  std::uint64_t stale_graph = 0;     ///< flushed by a graph swap
-  std::uint64_t shutdown_flushed = 0;///< flushed by service teardown
+// One row per counter-backed field: the member, the flight-recorder
+// counter it reads back (telemetry/counters.hpp), and — stringized — its
+// JSON key. The struct fields, from() and to_json() all expand it.
+//
+// clang-format off
+#define OPTIBFS_SERVICE_COUNTERS(X)                                        \
+  /* admission / completion */                                             \
+  X(submitted,                kQueriesSubmitted)    /* every submit()   */ \
+  X(completed,                kQueriesCompleted)    /* answered kOk     */ \
+  X(cache_hits,               kQueriesCacheHit)     /* from the cache   */ \
+  X(rejected,                 kQueriesRejected)     /* queue full       */ \
+  X(timed_out,                kQueriesTimedOut)     /* deadline, queued */ \
+  X(stale_graph,              kQueriesStaleGraph)   /* graph replaced   */ \
+  X(shutdown_flushed,         kQueriesShutdownFlushed)                     \
+  X(quota_rejected,           kQueriesQuotaRejected) /* token bucket    */ \
+  X(shed,                     kQueriesShed)         /* deadline shedding */\
+  /* dispatch shape */                                                     \
+  X(replica_dispatches,       kReplicaDispatches)   /* claims executed  */ \
+  X(waves,                    kWaves)               /* multi-source     */ \
+  X(single_dispatches,        kSingleDispatches)    /* batches of 1     */ \
+  /* dynamic graphs (apply_updates; DESIGN.md section 9) */                \
+  X(update_batches,           kUpdateBatches)                              \
+  X(edges_inserted,           kEdgesInserted)       /* took effect      */ \
+  X(edges_deleted,            kEdgesDeleted)        /* took effect      */ \
+  X(compactions,              kCompactions)                                \
+  X(results_repaired,         kResultsRepaired)     /* rows fixed       */ \
+  X(results_revalidated,      kResultsRevalidated)  /* rows unaffected  */ \
+  X(repair_waves,             kRepairWaves)         /* repair levels    */ \
+  X(cone_recomputes,          kConeRecomputes)      /* rows dropped     */ \
+  X(updates_overlapped_reads, kUpdatesOverlappedReads) /* pinned reader */ \
+  /* kernel-typed queries (DESIGN.md section 11) */                        \
+  X(kernel_queries,           kKernelQueries)                              \
+  X(kernel_cache_hits,        kKernelCacheHits)     /* memo hits        */ \
+  X(kernel_recomputes,        kKernelRecomputes)    /* memo misses      */ \
+  /* continuous queries */                                                 \
+  X(watches_notified,         kWatchesNotified)                            \
+  X(watch_repairs,            kWatchRepairs)                               \
+  X(watch_recomputes,         kWatchRecomputes)                            \
+  X(watches_unchanged,        kWatchesUnchanged)
+// clang-format on
 
-  // ---- dispatch shape ----
-  std::uint64_t waves = 0;             ///< MS-BFS waves executed
-  std::uint64_t single_dispatches = 0; ///< batches of 1 (hybrid engine)
-  /// batch_histogram[w] = number of batches of exactly w distinct
+struct ServiceStats {
+#define OPTIBFS_STATS_FIELD(field, counter) std::uint64_t field = 0;
+  OPTIBFS_SERVICE_COUNTERS(OPTIBFS_STATS_FIELD)
+#undef OPTIBFS_STATS_FIELD
+
+  /// batch_histogram[w] = number of dispatches of exactly w distinct
   /// sources (index 0 unused; max wave width is 64).
   std::array<std::uint64_t, 65> batch_histogram{};
-
-  // ---- dynamic graphs (apply_updates; DESIGN.md section 9) ----
-  std::uint64_t update_batches = 0;     ///< apply_updates calls applied
-  std::uint64_t edges_inserted = 0;     ///< edge inserts that took effect
-  std::uint64_t edges_deleted = 0;      ///< edge deletes that took effect
-  std::uint64_t compactions = 0;        ///< delta folded into a fresh CSR
-  std::uint64_t results_repaired = 0;   ///< cached rows fixed incrementally
-  std::uint64_t results_revalidated = 0;///< cached rows untouched by a batch
-  std::uint64_t repair_waves = 0;       ///< wave levels run by repairs
-  std::uint64_t cone_recomputes = 0;    ///< repairs abandoned (cone too big)
-
-  // ---- kernel-typed queries (DESIGN.md section 11) ----
-  std::uint64_t kernel_queries = 0;     ///< kernel-kind queries answered
-  std::uint64_t kernel_cache_hits = 0;  ///< served from the per-version memo
-  std::uint64_t kernel_recomputes = 0;  ///< kernel runs the memo missed
 
   // ---- latency over recent completions (reservoir) ----
   std::uint64_t latency_samples = 0;
@@ -58,42 +77,43 @@ struct ServiceStats {
   double p99_latency_ms = 0.0;
   double max_latency_ms = 0.0;
 
-  // ---- result cache ----
+  // ---- result cache (shared by every tenant) ----
   std::uint64_t cache_entries = 0;
   std::uint64_t cache_bytes = 0;
   std::uint64_t cache_evictions = 0;
 
-  // ---- engine configuration (decided at register_graph time) ----
-  /// Resolved name of the batch-of-1 engine actually serving single
-  /// dispatches (the strict-vs-relaxed choice: a level-synchronous
-  /// hybrid like BFS_CL_H, or the asynchronous BFS_ASYNC). Empty until
-  /// a graph is registered.
+  // ---- fleet shape ----
+  int replicas = 0;
+  std::uint64_t tenants = 0;
+  std::uint64_t watches = 0;
+
+  // ---- per-graph configuration (resolved at registration) ----
+  // Filled for the tenant stats() was asked about (BfsService: its one
+  // graph); empty / -1 otherwise.
+  /// Name of the batch-of-1 engine serving single dispatches (the
+  /// strict-vs-relaxed choice: a level-synchronous hybrid like
+  /// BFS_CL_H, or the asynchronous BFS_ASYNC).
   std::string single_source_engine;
-  /// Prefetch lookaheads the registered graph's engines run with (-1
-  /// until a graph is registered): the batch-of-1 engine, the MS-BFS
-  /// wave session, and the kernel memo runs, probed independently —
-  /// their hot probe arrays (level[], mask words, kernel state) have
-  /// different win profiles. Recorded here so a regressing default
-  /// cannot ship silently (the BENCH_locality pf8 lesson).
+  /// Prefetch lookaheads the graph's engines run with: the batch-of-1
+  /// engine, the MS-BFS wave session, and the kernel memo runs, probed
+  /// independently — their hot probe arrays (level[], mask words,
+  /// kernel state) have different win profiles. Recorded here so a
+  /// regressing default cannot ship silently (the BENCH_locality pf8
+  /// lesson).
   int prefetch_distance = -1;
   int wave_prefetch_distance = -1;
   int kernel_prefetch_distance = -1;
   /// "probed" when the distances won registration-time timing on this
-  /// graph; "configured" when the probe was skipped (autotune off or
-  /// graph below the probe floor) and the configured value passed
-  /// through. Empty until a graph is registered. Fixes the provenance
-  /// gap where a skipped probe reported its input as a tuning result.
+  /// graph; "configured" when the graph was below the probe floor and
+  /// the configured value passed through.
   std::string prefetch_provenance;
-  /// Resolved vertex-reorder policy the registered graph is served
-  /// under: the configured one, or — with ServiceConfig::reorder ==
-  /// kNone and autotune_reorder on — the registration-time degree-probe
-  /// pick (scale-free -> hub_cluster, mesh-like -> none). Empty until a
-  /// graph is registered.
+  /// Resolved vertex-reorder policy the graph is served under: the
+  /// configured one, or the registration-time degree-probe pick
+  /// (scale-free -> hub_cluster, mesh-like -> none).
   std::string reorder_policy;
 
-  // ---- storage tier (decided at register_graph[_file]; DESIGN.md §12) ----
-  /// Backend holding the served graph's CSR arrays ("heap" or "mmap").
-  /// Empty until a graph is registered.
+  // ---- storage tier (DESIGN.md §12), for the same graph ----
+  /// Backend holding the graph's CSR arrays ("heap" or "mmap").
   std::string storage_backend;
   std::uint64_t storage_map_bytes = 0;     ///< bytes mapped / heap-owned
   std::uint64_t storage_budget_bytes = 0;  ///< residency cap (0 = uncapped)
@@ -110,8 +130,8 @@ struct ServiceStats {
   /// true when sysfs topology detection succeeded (false means the
   /// flat fallback is in effect and `sockets` is nominal).
   bool topology_detected = false;
-  /// Worker threads of the batch-of-1 engine successfully pinned to
-  /// their assigned cpus (0 when pinning is off or unavailable).
+  /// Batch-of-1 engine worker threads pinned to their assigned cpus,
+  /// summed over replicas (0 when pinning is off or unavailable).
   int pinned_threads = 0;
   /// Whether the engines were built with BFSOptions::huge_pages.
   bool huge_pages = false;
@@ -119,32 +139,14 @@ struct ServiceStats {
   /// "unknown") — what a huge_pages=true request can actually achieve.
   std::string thp_mode;
 
-  /// Thin view over the flight-recorder counter snapshot: the service
-  /// bumps telemetry counters (one slab under its stats lock) and this
-  /// is the single place mapping them back to the report fields. The
-  /// histogram, latency, and cache blocks are filled by the caller.
+  /// The one place mapping flight-recorder counters back to report
+  /// fields; the histogram, latency, cache and configuration blocks are
+  /// filled by the caller.
   static ServiceStats from(const telemetry::CounterSnapshot& c) {
     ServiceStats s;
-    s.submitted = c[telemetry::kQueriesSubmitted];
-    s.completed = c[telemetry::kQueriesCompleted];
-    s.cache_hits = c[telemetry::kQueriesCacheHit];
-    s.rejected = c[telemetry::kQueriesRejected];
-    s.timed_out = c[telemetry::kQueriesTimedOut];
-    s.stale_graph = c[telemetry::kQueriesStaleGraph];
-    s.shutdown_flushed = c[telemetry::kQueriesShutdownFlushed];
-    s.waves = c[telemetry::kWaves];
-    s.single_dispatches = c[telemetry::kSingleDispatches];
-    s.update_batches = c[telemetry::kUpdateBatches];
-    s.edges_inserted = c[telemetry::kEdgesInserted];
-    s.edges_deleted = c[telemetry::kEdgesDeleted];
-    s.compactions = c[telemetry::kCompactions];
-    s.results_repaired = c[telemetry::kResultsRepaired];
-    s.results_revalidated = c[telemetry::kResultsRevalidated];
-    s.repair_waves = c[telemetry::kRepairWaves];
-    s.cone_recomputes = c[telemetry::kConeRecomputes];
-    s.kernel_queries = c[telemetry::kKernelQueries];
-    s.kernel_cache_hits = c[telemetry::kKernelCacheHits];
-    s.kernel_recomputes = c[telemetry::kKernelRecomputes];
+#define OPTIBFS_STATS_FROM(field, counter) s.field = c[telemetry::counter];
+    OPTIBFS_SERVICE_COUNTERS(OPTIBFS_STATS_FROM)
+#undef OPTIBFS_STATS_FROM
     return s;
   }
 
@@ -169,31 +171,22 @@ struct ServiceStats {
   /// the benches' machine-readable output path.
   std::string to_json() const {
     std::ostringstream out;
-    out << "{\"submitted\": " << submitted << ", \"completed\": " << completed
-        << ", \"cache_hits\": " << cache_hits << ", \"rejected\": " << rejected
-        << ", \"timed_out\": " << timed_out
-        << ", \"stale_graph\": " << stale_graph
-        << ", \"waves\": " << waves
-        << ", \"single_dispatches\": " << single_dispatches
-        << ", \"update_batches\": " << update_batches
-        << ", \"edges_inserted\": " << edges_inserted
-        << ", \"edges_deleted\": " << edges_deleted
-        << ", \"compactions\": " << compactions
-        << ", \"results_repaired\": " << results_repaired
-        << ", \"results_revalidated\": " << results_revalidated
-        << ", \"repair_waves\": " << repair_waves
-        << ", \"cone_recomputes\": " << cone_recomputes
-        << ", \"kernel_queries\": " << kernel_queries
-        << ", \"kernel_cache_hits\": " << kernel_cache_hits
-        << ", \"kernel_recomputes\": " << kernel_recomputes
-        << ", \"mean_batch_width\": " << mean_batch_width()
+    out << "{";
+#define OPTIBFS_STATS_JSON(field, counter) out << "\"" #field "\": " << field << ", ";
+    OPTIBFS_SERVICE_COUNTERS(OPTIBFS_STATS_JSON)
+#undef OPTIBFS_STATS_JSON
+    out << "\"mean_batch_width\": " << mean_batch_width()
         << ", \"cache_hit_rate\": " << cache_hit_rate()
+        << ", \"latency_samples\": " << latency_samples
         << ", \"mean_latency_ms\": " << mean_latency_ms
         << ", \"p50_latency_ms\": " << p50_latency_ms
         << ", \"p99_latency_ms\": " << p99_latency_ms
         << ", \"max_latency_ms\": " << max_latency_ms
         << ", \"cache_entries\": " << cache_entries
         << ", \"cache_bytes\": " << cache_bytes
+        << ", \"cache_evictions\": " << cache_evictions
+        << ", \"replicas\": " << replicas << ", \"tenants\": " << tenants
+        << ", \"watches\": " << watches
         << ", \"single_source_engine\": \"" << single_source_engine << "\""
         << ", \"prefetch_distance\": " << prefetch_distance
         << ", \"wave_prefetch_distance\": " << wave_prefetch_distance

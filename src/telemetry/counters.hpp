@@ -116,7 +116,7 @@ namespace optibfs::telemetry {
   X(kKernelQueries,            "kernel_queries")                             \
   X(kKernelCacheHits,          "kernel_cache_hits")                          \
   X(kKernelRecomputes,         "kernel_recomputes")                          \
-  /* scale-out front tier (DESIGN.md section 14) */                          \
+  /* serving core: tenants, replicas, watches (DESIGN.md section 4) */    \
   X(kQueriesShed,              "queries_shed")                               \
   X(kQueriesQuotaRejected,     "queries_quota_rejected")                     \
   X(kReplicaDispatches,        "replica_dispatches")                         \

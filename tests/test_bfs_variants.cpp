@@ -2,6 +2,7 @@
 // stay exactly correct (levels identical to serial) under all settings.
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <tuple>
 
 #include "core/registry.hpp"
@@ -106,16 +107,24 @@ TEST(VisitedBitmap, CorrectAndEliminatesDuplicates) {
     BFSOptions options;
     options.num_threads = 8;
     options.visited_bitmap_dedup = true;
+    options.record_level_sizes = true;
     auto engine = make_bfs(algorithm, graph, options);
     for (const vid_t source : sample_sources(graph, 2, 7)) {
       BFSResult result;
       engine->run(source, result);
       const auto report = verify_against_serial(graph, source, result);
       ASSERT_TRUE(report.ok) << algorithm << ": " << report.error;
-      // The fetch_or claim admits each vertex into exactly one queue,
-      // so within-queue pops can't duplicate it either (each queue
-      // holds it at most once, and clearing dedups re-pops).
-      EXPECT_EQ(result.duplicate_explorations(), 0u) << algorithm;
+      // What the option promises: the fetch_or claim admits each vertex
+      // into exactly one queue once, so the level queues hold no
+      // duplicate *entries*. Duplicate *explorations* remain possible —
+      // two threads that read a slot before either clears it both
+      // explore it — and on several cores they happen.
+      std::uint64_t entries = 0;
+      for (const std::uint64_t size : result.level_sizes) entries += size;
+      EXPECT_EQ(entries, result.vertices_visited) << algorithm;
+      std::cout << algorithm << " source " << source
+                << ": duplicate explorations "
+                << result.duplicate_explorations() << "\n";
     }
   }
 }
@@ -152,6 +161,13 @@ TEST(ScaleFree, StealingPhase2Correct) {
     options.num_threads = 8;
     options.phase2 = Phase2Mode::kStealing;
     expect_correct(algorithm, graph, options, "phase2=stealing");
+    // A low threshold makes many hotspots per level, so owners move on
+    // to their next hotspot while thieves still act on the previous
+    // one: the race that once cut a hotspot's range short.
+    options.degree_threshold = 16;
+    for (int round = 0; round < 50; ++round) {
+      expect_correct(algorithm, graph, options, "phase2=stealing,t16");
+    }
   }
 }
 

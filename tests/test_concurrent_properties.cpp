@@ -3,6 +3,7 @@
 // determinism of the nondeterministic engines, and option fuzzing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -20,12 +21,17 @@ namespace {
 // (relaxed global-queue pointer + relaxed fronts + clearing reads),
 // every pushed element is consumed by AT LEAST one thread — duplicates
 // allowed, losses forbidden. Exercised directly on FrontierQueues with
-// real std::threads hammering a prepared level.
+// real std::threads hammering a prepared level. It holds because the
+// engines size a segment from `rear - front` and per-level constants
+// only (BFSEngineBase::segment_size): threads that read the same front
+// claim the same segment, so segments partition the queue and a thread
+// that aborts on a slot another cleared never strands the rest of a
+// longer segment. Random lengths break that and do lose slots.
 TEST(OptimisticCoverage, EverySlotConsumedAtLeastOnce) {
   constexpr int kQueues = 4;
   constexpr vid_t kPerQueue = 2000;
   constexpr int kThreads = 8;
-  constexpr int kRounds = 5;
+  constexpr int kRounds = 20;
 
   for (int round = 0; round < kRounds; ++round) {
     FrontierQueues queues(kQueues, kQueues * kPerQueue);
@@ -43,8 +49,7 @@ TEST(OptimisticCoverage, EverySlotConsumedAtLeastOnce) {
     std::vector<std::atomic<std::uint8_t>> consumed(next_value);
     std::atomic<std::int32_t> global_queue{0};
 
-    auto worker = [&](int tid) {
-      Xoshiro256 rng(static_cast<std::uint64_t>(round * 100 + tid));
+    auto worker = [&] {
       for (;;) {
         int k = global_queue.load(std::memory_order_relaxed);
         if (k < 0) k = 0;
@@ -56,10 +61,10 @@ TEST(OptimisticCoverage, EverySlotConsumedAtLeastOnce) {
           ++k;
         }
         if (k >= kQueues) return;
-        const std::int64_t len =
-            std::min<std::int64_t>(1 + static_cast<std::int64_t>(
-                                           rng.next_below(64)),
-                                   rear - front);
+        // BFS_CL's pick_segment with the default adaptive size.
+        const std::int64_t len = std::min(
+            std::clamp<std::int64_t>((rear - front) / (4 * kThreads), 1, 2048),
+            rear - front);
         global_queue.store(k, std::memory_order_relaxed);
         queues.in_front(k).store(front + len, std::memory_order_relaxed);
         for (std::int64_t i = front; i < front + len; ++i) {
@@ -70,7 +75,7 @@ TEST(OptimisticCoverage, EverySlotConsumedAtLeastOnce) {
       }
     };
     std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+    for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker);
     for (auto& t : threads) t.join();
 
     for (vid_t v = 0; v < next_value; ++v) {

@@ -11,6 +11,7 @@
 // actually runs. This file is folded into sanitize_tests so the
 // degrade paths are also proven TSan-clean.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -60,8 +61,10 @@ TEST(MemTopologyParse, CpuListDegradesOnMalformedChunks) {
 }
 
 TEST(MemTopologyParse, NodeTreeFromFakeSysfs) {
-  const fs::path root =
-      fs::temp_directory_path() / "optibfs_fake_sysfs_nodes";
+  // Per process: `ctest -j` runs this case in two test binaries at once.
+  const fs::path root = fs::temp_directory_path() /
+                        ("optibfs_fake_sysfs_nodes_" +
+                         std::to_string(::getpid()));
   fs::remove_all(root);
   fs::create_directories(root / "node0");
   fs::create_directories(root / "node1");

@@ -279,6 +279,49 @@ TEST(ScaleoutService, WatchFiresOnlyOnActualChange) {
   EXPECT_EQ(events.size(), 2u);
 }
 
+TEST(ScaleoutService, ThrowingWatchCallbackDoesNotStallUpdates) {
+  //   0 -> 1 -> 2 -> 3, two watches on dist(0, 3); the first throws.
+  EdgeList el(6);
+  el.add_unchecked(0, 1);
+  el.add_unchecked(1, 2);
+  el.add_unchecked(2, 3);
+  ScaleoutService service(small_config(1));
+  const TenantId tenant = service.register_tenant("w", make_graph(el));
+
+  int thrown = 0;  // mutator thread; read after apply_updates returns
+  std::vector<WatchEvent> delivered;
+  service.watch_distance(tenant, 0, 3, [&](const WatchEvent&) {
+    ++thrown;
+    throw std::runtime_error("callback failure");
+  });
+  service.watch_distance(tenant, 0, 3, [&](const WatchEvent& ev) {
+    delivered.push_back(ev);
+  });
+
+  // The throwing callback fails neither its batch's apply_updates nor
+  // the second watch on the same batch.
+  UpdateBatch shortcut;
+  shortcut.insert(0, 3);
+  std::uint64_t v2 = 0;
+  ASSERT_NO_THROW(v2 = service.apply_updates(tenant, shortcut));
+  EXPECT_EQ(thrown, 1);
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0].new_distance, 1);
+  EXPECT_EQ(delivered[0].version, v2);
+
+  // Nor does it stop later batches.
+  UpdateBatch cut;
+  cut.erase(0, 3);
+  cut.erase(2, 3);
+  std::uint64_t v3 = 0;
+  ASSERT_NO_THROW(v3 = service.apply_updates(tenant, cut));
+  EXPECT_EQ(v3, v2 + 1);
+  EXPECT_EQ(thrown, 2);
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(delivered[1].new_distance, kUnvisited);
+  EXPECT_EQ(service.stats().watches_notified, 4u);
+}
+
 TEST(ScaleoutService, DeregistrationRacesInFlightQueries) {
   // The submit-vs-teardown race, tenant flavour: queries in flight while
   // the tenant is deregistered must all resolve — kOk (claim already on
@@ -368,7 +411,9 @@ TEST(ScaleoutService, KernelMemoSharedAcrossReplicas) {
   // replicas hammering kComponents for the same tenant version must
   // converge on exactly one CC kernel run.
   const EdgeList el = gen::erdos_renyi(1000, 4000, 21);
-  ScaleoutService service(small_config(2));
+  ScaleoutConfig config = small_config(2);
+  config.max_batch = 16;  // one claim holds at most 16 distinct sources
+  ScaleoutService service(config);
   const TenantId tenant = service.register_tenant("k", make_graph(el));
 
   std::vector<std::future<QueryResult>> futures;
@@ -436,7 +481,7 @@ TEST(ScaleoutService, SheddingProtectsDeadlinesUnderOverload) {
     ScaleoutConfig config = small_config(1);
     config.shedding = shedding;
     config.cache_bytes = 0;  // every query is a full traversal
-    config.claim_batch = 32;
+    config.max_batch = 32;
     ScaleoutService service(config);
     const TenantId tenant = service.register_tenant("t", graph);
     // Prime the execution-time EWMA with deadline-less queries, and
@@ -555,6 +600,35 @@ TEST(ScaleoutService, CacheMigratesAcrossVersionsPerTenant) {
   const QueryResult again = service.distance(tenant, 0);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again.cache_hit);
+}
+
+TEST(ScaleoutService, ReplaceGraphServesNewGraphUnderSameId) {
+  ScaleoutService service(small_config(1));
+  const TenantId tenant =
+      service.register_tenant("swap", make_graph(gen::path(8)));
+  const WatchTicket ticket =
+      service.watch_distance(tenant, 0, 7, [](const WatchEvent&) {});
+  EXPECT_EQ(ticket.initial_distance, 7);
+  EXPECT_EQ(service.distance(tenant, 0, 7).distance, 7);
+
+  // Same id, next version, new edge set; the old graph's watches go.
+  EXPECT_EQ(service.replace_graph(tenant, make_graph(gen::complete(8))), 2u);
+  EXPECT_EQ(service.graph_version(tenant), 2u);
+  const QueryResult r = service.distance(tenant, 0, 7);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.distance, 1);
+  EXPECT_EQ(r.graph_version, 2u);
+  EXPECT_EQ(service.stats().watches, 0u);
+  EXPECT_FALSE(service.unwatch(tenant, ticket.id));
+
+  UpdateBatch batch;
+  batch.erase(0, 7);
+  EXPECT_EQ(service.apply_updates(tenant, batch), 3u);
+  EXPECT_EQ(service.distance(tenant, 0, 7).distance, 2);
+
+  EXPECT_THROW(service.replace_graph(tenant + 999, make_graph(gen::path(4))),
+               std::invalid_argument);
+  EXPECT_THROW(service.replace_graph(tenant, nullptr), std::invalid_argument);
 }
 
 TEST(ScaleoutService, ValidationAndErrorPaths) {

@@ -1,4 +1,4 @@
-// BFS query service: batching scheduler, cache, admission control.
+// BFS query service: wave batching, cache, admission control.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,7 +45,7 @@ TEST(BfsService, SingleQueryMatchesSerialOracle) {
 
 TEST(BfsService, ConcurrentSubmittersCoalesceAndMatchOracle) {
   // The tentpole scenario: many threads firing point queries, the
-  // scheduler coalescing them into MS-BFS waves. Every answer must
+  // replica coalescing them into MS-BFS waves. Every answer must
   // match the serial oracle regardless of how the batches formed.
   const auto graph = make_graph(gen::rmat(10, 8, 31));
   ServiceConfig config = small_config(4);
@@ -337,7 +337,7 @@ TEST(ResultCache, FingerprintIsolatesGenerations) {
   cache.insert(1, 0, levels);
   cache.insert(2, 7, levels);
   EXPECT_EQ(cache.lookup(2, 0), nullptr);  // other fingerprint misses
-  cache.retain_only(2);                    // re-registration GC
+  (void)cache.extract_all(1);              // replaced content dropped
   EXPECT_EQ(cache.lookup(1, 0), nullptr);
   EXPECT_NE(cache.lookup(2, 7), nullptr);  // matching content survives
   EXPECT_EQ(cache.entries(), 1u);

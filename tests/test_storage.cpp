@@ -7,6 +7,7 @@
 // thread stalled in a major fault must look like any other slow thread
 // to the optimistic engines (no locks for it to convoy on).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstddef>
@@ -53,7 +54,11 @@ static_assert(
     "out_offset must return the raw offset value");
 
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  // Per process: `ctest -j` runs this file's cases in three test
+  // binaries at once, and a shared file would be clobbered mid-case.
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 CsrGraph test_graph(std::uint64_t seed = 7) {

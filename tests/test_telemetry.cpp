@@ -353,13 +353,17 @@ TEST(FlightRecorder, ServiceEmitsQuerySpansAndCounters) {
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.submitted, 4u);
     EXPECT_EQ(stats.completed, 4u);
+    UpdateBatch batch;
+    batch.insert(0, 1);
+    service.apply_updates(batch);
   }
-  // The scheduler acquired its slot and recorded per-query spans.
-  bool found_sched = false;
+  // The replica acquired its track and recorded per-query spans; the
+  // mutator recorded the update on a track of its own.
+  bool found_replica = false, found_mutator = false;
   for (int slot = 0; slot < rec.num_slots(); ++slot) {
-    if (rec.slot_name(slot) == "service.scheduler") {
-      found_sched = true;
-      const telemetry::TraceRing* ring = rec.slot_ring(slot);
+    const telemetry::TraceRing* ring = rec.slot_ring(slot);
+    if (rec.slot_name(slot) == "scaleout.replica0") {
+      found_replica = true;
       ASSERT_NE(ring, nullptr);
       std::uint64_t waits = 0, execs = 0, dispatches = 0;
       for (const telemetry::TraceEvent& ev : ring->events()) {
@@ -371,8 +375,18 @@ TEST(FlightRecorder, ServiceEmitsQuerySpansAndCounters) {
       EXPECT_EQ(execs, 4u);
       EXPECT_GT(dispatches, 0u);
     }
+    if (rec.slot_name(slot) == "scaleout.mutator") {
+      found_mutator = true;
+      ASSERT_NE(ring, nullptr);
+      std::uint64_t applies = 0;
+      for (const telemetry::TraceEvent& ev : ring->events()) {
+        if (ev.name == telemetry::kEvApplyBatch) ++applies;
+      }
+      EXPECT_EQ(applies, 1u);
+    }
   }
-  EXPECT_TRUE(found_sched);
+  EXPECT_TRUE(found_replica);
+  EXPECT_TRUE(found_mutator);
 }
 
 #else  // !OPTIBFS_TELEMETRY
