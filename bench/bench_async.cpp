@@ -226,6 +226,7 @@ int main(int argc, char** argv) {
       "\", \"best_strict_hm_teps\": " + std::to_string(best_strict_hm) +
       ", \"async_wins\": " + (async_hm > best_strict_hm ? "true" : "false") +
       ", \"crossover\": " + crossover_summary + "}";
-  bench::maybe_write_json("async", argc, argv, cells, summary);
-  return 0;
+  const bool wrote =
+      bench::maybe_write_json("async", argc, argv, cells, summary);
+  return wrote ? 0 : 1;
 }

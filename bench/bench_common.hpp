@@ -71,17 +71,20 @@ inline std::string json_path(const std::string& name, int argc,
 
 /// Writes the sweep results as JSON when the user asked for it (no-op
 /// otherwise). `summary_json` is an optional pre-rendered JSON value
-/// embedded under "summary".
-inline void maybe_write_json(const std::string& name, int argc, char** argv,
-                             const std::vector<ExperimentCell>& cells,
-                             const std::string& summary_json = {}) {
+/// embedded under "summary". Returns false when the file could not be
+/// written, so the bench exits non-zero instead of reporting success.
+[[nodiscard]] inline bool maybe_write_json(
+    const std::string& name, int argc, char** argv,
+    const std::vector<ExperimentCell>& cells,
+    const std::string& summary_json = {}) {
   const std::string path = json_path(name, argc, argv);
-  if (path.empty()) return;
-  if (write_cells_json(path, name, cells, summary_json)) {
-    std::cout << "\nwrote " << path << "\n";
-  } else {
+  if (path.empty()) return true;
+  if (!write_cells_json(path, name, cells, summary_json)) {
     std::cerr << "\nfailed to write " << path << "\n";
+    return false;
   }
+  std::cout << "\nwrote " << path << "\n";
+  return true;
 }
 
 }  // namespace optibfs::bench

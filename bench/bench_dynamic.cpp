@@ -311,6 +311,7 @@ int main(int argc, char** argv) {
   }
   sw.end_array();
   sw.end_object();
-  bench::maybe_write_json("dynamic", argc, argv, cells, summary.str());
-  return 0;
+  const bool wrote =
+      bench::maybe_write_json("dynamic", argc, argv, cells, summary.str());
+  return wrote ? 0 : 1;
 }

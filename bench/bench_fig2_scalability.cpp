@@ -67,6 +67,6 @@ int main(int argc, char** argv) {
                "the axis.\n";
   auto all_cells = cells;
   all_cells.insert(all_cells.end(), serial_cells.begin(), serial_cells.end());
-  bench::maybe_write_json("fig2", argc, argv, all_cells);
-  return 0;
+  const bool wrote = bench::maybe_write_json("fig2", argc, argv, all_cells);
+  return wrote ? 0 : 1;
 }

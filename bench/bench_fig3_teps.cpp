@@ -115,6 +115,7 @@ int main(int argc, char** argv) {
                "the _H hybrids pull further ahead wherever the frontier "
                "ever covers a big fraction of the graph.\n";
 
-  bench::maybe_write_json("fig3", argc, argv, cells, summary.str());
-  return 0;
+  const bool wrote =
+      bench::maybe_write_json("fig3", argc, argv, cells, summary.str());
+  return wrote ? 0 : 1;
 }

@@ -195,6 +195,7 @@ int main(int argc, char** argv) {
       ", \"optimistic_wins\": " + std::to_string(optimistic_wins) +
       ", \"kernels\": " + std::to_string(kernels::optimistic_kernels().size()) +
       ", \"per_kernel\": " + per_kernel + "}";
-  bench::maybe_write_json("kernels", argc, argv, cells, summary);
-  return 0;
+  const bool wrote =
+      bench::maybe_write_json("kernels", argc, argv, cells, summary);
+  return wrote ? 0 : 1;
 }

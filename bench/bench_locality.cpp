@@ -210,6 +210,7 @@ int main(int argc, char** argv) {
     std::cout << "every run verified against the serial oracle\n";
   }
 
-  bench::maybe_write_json("locality", argc, argv, cells, summary.str());
-  return 0;
+  const bool wrote =
+      bench::maybe_write_json("locality", argc, argv, cells, summary.str());
+  return wrote ? 0 : 1;
 }

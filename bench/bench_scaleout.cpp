@@ -486,6 +486,7 @@ int main(int argc, char** argv) {
     sw.end_object();
   }
   sw.end_object();
-  bench::maybe_write_json("scaleout", argc, argv, cells, summary.str());
-  return 0;
+  const bool wrote =
+      bench::maybe_write_json("scaleout", argc, argv, cells, summary.str());
+  return wrote ? 0 : 1;
 }

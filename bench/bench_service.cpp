@@ -136,6 +136,7 @@ int main(int argc, char** argv) {
   sw.key("speedup_w8_vs_w1").value(qps_w8 / std::max(1e-9, baseline_qps));
   sw.key("stats_w8").raw(stats_w8_json);
   sw.end_object();
-  bench::maybe_write_json("service", argc, argv, cells, summary.str());
-  return 0;
+  const bool wrote =
+      bench::maybe_write_json("service", argc, argv, cells, summary.str());
+  return wrote ? 0 : 1;
 }

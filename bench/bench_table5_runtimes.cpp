@@ -80,6 +80,6 @@ int main(int argc, char** argv) {
                "beats its locked twin; our algorithms beat PBFS and Hong "
                "on the real-world-class graphs; HONG_LOCAL_BITMAP wins "
                "on rmat_dense (duplicate-heavy).\n";
-  bench::maybe_write_json("table5", argc, argv, cells);
-  return 0;
+  const bool wrote = bench::maybe_write_json("table5", argc, argv, cells);
+  return wrote ? 0 : 1;
 }

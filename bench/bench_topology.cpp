@@ -158,9 +158,7 @@ int main(int argc, char** argv) {
     base.num_threads = threads;
     base.prefetch_distance = 8;  // the fallback when the probe skips
     tuned[workload.name] =
-        tune_prefetch(workload.graph, base, kEngine, threads,
-                      /*autotune=*/true)
-            .single_source;
+        tune_prefetch(workload.graph, base, kEngine, threads).single_source;
     const PrefetchChoice& choice = tuned[workload.name];
     std::cout << "  tuned " << workload.name << ": pf" << choice.distance
               << (choice.probed ? " (probed)" : " (configured fallback)")
@@ -298,6 +296,7 @@ int main(int argc, char** argv) {
     std::cout << "  every run verified against the serial oracle\n";
   }
 
-  bench::maybe_write_json("topology", argc, argv, cells, summary.str());
-  return accepted ? 0 : 1;
+  const bool wrote =
+      bench::maybe_write_json("topology", argc, argv, cells, summary.str());
+  return accepted && wrote ? 0 : 1;
 }

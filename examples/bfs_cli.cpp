@@ -10,7 +10,6 @@
 //   ./bfs_cli --list
 //   ./bfs_cli --graph file:web.mtx --updates trace.txt --json out.json
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -21,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "checked_args.hpp"
 #include "harness/json_writer.hpp"
 #include "harness/table.hpp"
 #include "optibfs.hpp"
@@ -101,23 +101,7 @@ using namespace optibfs;
   std::exit(code);
 }
 
-/// Checked numeric value for `what` (a flag or graph spec): the whole
-/// text must parse as a T of at least `min`, otherwise bfs_cli exits 2
-/// — garbage never silently becomes 0.
-template <class T>
-T parse_number(const std::string& what, const std::string& text,
-               T min = std::numeric_limits<T>::lowest()) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end || value < min) {
-    std::cerr << what << " expects a number";
-    if (min > std::numeric_limits<T>::lowest()) std::cerr << " >= " << min;
-    std::cerr << ", not '" << text << "'\n";
-    std::exit(2);
-  }
-  return value;
-}
+using examples::parse_number;
 
 std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> parts;

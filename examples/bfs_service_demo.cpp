@@ -22,14 +22,16 @@
 #include <thread>
 #include <vector>
 
+#include "checked_args.hpp"
 #include "optibfs.hpp"
 #include "telemetry/recorder.hpp"
 
 int main(int argc, char** argv) {
   using namespace optibfs;
-  const int scale = argc > 1 ? std::atoi(argv[1]) : 14;
-  const int threads = argc > 2 ? std::atoi(argv[2]) : 4;
-  const int clients = argc > 3 ? std::atoi(argv[3]) : 4;
+  using examples::positional;
+  const int scale = positional(argc, argv, 1, "scale", 14, 1);
+  const int threads = positional(argc, argv, 2, "threads", 4, 1);
+  const int clients = positional(argc, argv, 3, "clients", 4, 1);
   const std::string trace_path = argc > 4 ? argv[4] : "";
   constexpr int kQueriesPerClient = 64;
 

@@ -8,16 +8,18 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "checked_args.hpp"
 #include "harness/graph500.hpp"
 #include "harness/table.hpp"
 #include "optibfs.hpp"
 
 int main(int argc, char** argv) {
   using namespace optibfs;
+  using examples::positional;
   Graph500Config config;
-  config.scale = argc > 1 ? std::atoi(argv[1]) : 15;
-  config.bfs.num_threads = argc > 2 ? std::atoi(argv[2]) : 4;
-  config.num_sources = argc > 3 ? std::atoi(argv[3]) : 8;
+  config.scale = positional(argc, argv, 1, "scale", 15, 1);
+  config.bfs.num_threads = positional(argc, argv, 2, "threads", 4, 1);
+  config.num_sources = positional(argc, argv, 3, "sources", 8, 1);
 
   std::cout << "Graph500-mini: RMAT scale " << config.scale
             << ", edge factor " << config.edge_factor << ", "

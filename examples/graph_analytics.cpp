@@ -13,15 +13,15 @@
 #include "apps/connected_components.hpp"
 #include "apps/graph_metrics.hpp"
 #include "apps/shortest_paths.hpp"
+#include "checked_args.hpp"
 #include "optibfs.hpp"
 
 int main(int argc, char** argv) {
   using namespace optibfs;
-  const vid_t n =
-      argc > 1 ? static_cast<vid_t>(std::atol(argv[1])) : vid_t{50000};
-  const eid_t m =
-      argc > 2 ? static_cast<eid_t>(std::atoll(argv[2])) : eid_t{400000};
-  const int threads = argc > 3 ? std::atoi(argv[3]) : 4;
+  using examples::positional;
+  const vid_t n = positional<vid_t>(argc, argv, 1, "n", 50000, 1);
+  const eid_t m = positional<eid_t>(argc, argv, 2, "m", 400000, 0);
+  const int threads = positional(argc, argv, 3, "threads", 4, 1);
 
   std::cout << "Collaboration-network analytics demo\n";
   EdgeList edges = gen::power_law(n, m, 2.4, /*seed=*/1234);

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "apps/goal_search.hpp"
+#include "checked_args.hpp"
 #include "optibfs.hpp"
 
 namespace {
@@ -79,12 +80,11 @@ void draw(const Maze& maze, const std::vector<vid_t>& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const vid_t rows =
-      argc > 1 ? static_cast<vid_t>(std::atol(argv[1])) : vid_t{25};
-  const vid_t cols =
-      argc > 2 ? static_cast<vid_t>(std::atol(argv[2])) : vid_t{60};
-  const int wall_pct = argc > 3 ? std::atoi(argv[3]) : 25;
-  const int threads = argc > 4 ? std::atoi(argv[4]) : 4;
+  using optibfs::examples::positional;
+  const vid_t rows = positional<vid_t>(argc, argv, 1, "rows", 25, 1);
+  const vid_t cols = positional<vid_t>(argc, argv, 2, "cols", 60, 1);
+  const int wall_pct = positional(argc, argv, 3, "wall_pct", 25, 0);
+  const int threads = positional(argc, argv, 4, "threads", 4, 1);
 
   std::cout << "Maze " << rows << "x" << cols << " (" << wall_pct
             << "% walls)\n\n";

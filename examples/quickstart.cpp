@@ -6,13 +6,15 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "checked_args.hpp"
 #include "optibfs.hpp"
 
 int main(int argc, char** argv) {
   using namespace optibfs;
-  const int scale = argc > 1 ? std::atoi(argv[1]) : 14;
-  const int edge_factor = argc > 2 ? std::atoi(argv[2]) : 16;
-  const int threads = argc > 3 ? std::atoi(argv[3]) : 4;
+  using examples::positional;
+  const int scale = positional(argc, argv, 1, "scale", 14, 1);
+  const int edge_factor = positional(argc, argv, 2, "edge_factor", 16, 1);
+  const int threads = positional(argc, argv, 3, "threads", 4, 1);
 
   std::cout << "Generating a Graph500 RMAT graph (scale=" << scale
             << ", edge factor=" << edge_factor << ")...\n";

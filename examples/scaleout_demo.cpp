@@ -21,14 +21,16 @@
 #include <thread>
 #include <vector>
 
+#include "checked_args.hpp"
 #include "optibfs.hpp"
 
 int main(int argc, char** argv) {
   using namespace optibfs;
   using namespace optibfs::scaleout;
-  const int scale = argc > 1 ? std::atoi(argv[1]) : 12;
-  const int replicas = argc > 2 ? std::atoi(argv[2]) : 2;
-  const int clients = argc > 3 ? std::atoi(argv[3]) : 4;
+  using examples::positional;
+  const int scale = positional(argc, argv, 1, "scale", 12, 1);
+  const int replicas = positional(argc, argv, 2, "replicas", 2, 1);
+  const int clients = positional(argc, argv, 3, "clients", 4, 1);
   constexpr int kQueriesPerClient = 48;
 
   const auto social = std::make_shared<const CsrGraph>(

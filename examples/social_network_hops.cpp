@@ -4,7 +4,7 @@
 // Builds a power-law (Chung-Lu) "follower" graph and answers "how far
 // is everyone from these seed users?" the way the query service does:
 // all seeds go into ONE optimistic MS-BFS wave on one persistent
-// thread pool, so the traversals share their adjacency scans instead
+// thread team, so the traversals share their adjacency scans instead
 // of paying a full BFS (and a thread create/join) per seed. The report
 // is the classic "six degrees" hop-distance curve.
 //
@@ -13,15 +13,16 @@
 #include <iomanip>
 #include <iostream>
 
+#include "checked_args.hpp"
 #include "optibfs.hpp"
 
 int main(int argc, char** argv) {
   using namespace optibfs;
-  const vid_t users = argc > 1 ? static_cast<vid_t>(std::atol(argv[1]))
-                               : vid_t{200000};
-  const eid_t follows = argc > 2 ? static_cast<eid_t>(std::atoll(argv[2]))
-                                 : eid_t{2500000};
-  const int threads = argc > 3 ? std::atoi(argv[3]) : 4;
+  using examples::positional;
+  const vid_t users = positional<vid_t>(argc, argv, 1, "users", 200000, 1);
+  const eid_t follows =
+      positional<eid_t>(argc, argv, 2, "follows", 2500000, 0);
+  const int threads = positional(argc, argv, 3, "threads", 4, 1);
 
   std::cout << "Building a scale-free social graph: " << users << " users, "
             << follows << " follow edges (gamma=2.1)...\n";
@@ -35,11 +36,11 @@ int main(int argc, char** argv) {
   BFSOptions options;
   options.num_threads = threads;
 
-  // One pool + one session answer every seed: the session keeps its
-  // mask arrays and queue pool across waves, the pool keeps its
+  // One team + one session answer every seed: the session keeps its
+  // mask arrays and queue pool across waves, the team keeps its
   // workers, and the wave shares adjacency scans across all 8 seeds.
-  ForkJoinPool pool(threads);
-  MsBfsSession session(graph, options, pool);
+  ThreadTeam team(threads);
+  MsBfsSession session(graph, options, team);
 
   const auto seeds = sample_sources(graph, 8, /*seed=*/4);
   Timer timer;

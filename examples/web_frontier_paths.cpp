@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "checked_args.hpp"
 #include "optibfs.hpp"
 
 namespace {
@@ -33,8 +34,9 @@ std::vector<vid_t> extract_path(const BFSResult& result, vid_t v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int scale = argc > 1 ? std::atoi(argv[1]) : 15;
-  const int threads = argc > 2 ? std::atoi(argv[2]) : 4;
+  using optibfs::examples::positional;
+  const int scale = positional(argc, argv, 1, "scale", 15, 1);
+  const int threads = positional(argc, argv, 2, "threads", 4, 1);
 
   std::cout << "Crawl graph: Graph500 RMAT scale " << scale << "...\n";
   const CsrGraph graph =

@@ -19,20 +19,21 @@ bool test_bit(const std::vector<std::atomic<std::uint64_t>>& bits, vid_t v) {
 }  // namespace
 
 DirectionOptimizingBFS::DirectionOptimizingBFS(const CsrGraph& graph,
-                                               BFSOptions opts, int alpha,
+                                               BFSOptions opts,
+                                               TeamHandle team, int alpha,
                                                int beta)
     : graph_(graph),
       transpose_(graph.transpose()),
       opts_(opts),
       alpha_(alpha),
       beta_(beta),
-      p_(std::max(1, opts.num_threads)),
-      team_(p_),
+      p_(team.width()),
       barrier_(p_),
       front_bits_((static_cast<std::size_t>(graph.num_vertices()) + 63) / 64),
       next_bits_((static_cast<std::size_t>(graph.num_vertices()) + 63) / 64),
       local_next_(static_cast<std::size_t>(p_)),
-      counters_(static_cast<std::size_t>(p_)) {}
+      counters_(static_cast<std::size_t>(p_)),
+      team_(std::move(team)) {}
 
 void DirectionOptimizingBFS::run(vid_t source, BFSResult& out) {
   const vid_t n = graph_.num_vertices();

@@ -26,7 +26,7 @@ class DirectionOptimizingBFS final : public ParallelBFS {
  public:
   /// Materializes graph.transpose() up front (bottom-up needs in-edges).
   DirectionOptimizingBFS(const CsrGraph& graph, BFSOptions opts,
-                         int alpha = 15, int beta = 18);
+                         TeamHandle team, int alpha = 15, int beta = 18);
 
   void run(vid_t source, BFSResult& out) override;
   std::string_view name() const override { return "DO_BFS"; }
@@ -47,7 +47,6 @@ class DirectionOptimizingBFS final : public ParallelBFS {
   const int beta_;
   const int p_;
 
-  ThreadTeam team_;
   SpinBarrier barrier_;
   /// Frontier membership bitmaps for bottom-up (current and next).
   std::vector<std::atomic<std::uint64_t>> front_bits_;
@@ -55,6 +54,7 @@ class DirectionOptimizingBFS final : public ParallelBFS {
   std::vector<vid_t> frontier_;
   std::vector<std::vector<vid_t>> local_next_;
   std::vector<CacheAligned<ThreadCounters>> counters_;
+  TeamHandle team_;  ///< declared last: workers must never outlive state
 };
 
 }  // namespace optibfs

@@ -15,15 +15,16 @@ std::string_view hong_variant_name(HongVariant variant) {
   return "HONG_UNKNOWN";
 }
 
-HongBFS::HongBFS(const CsrGraph& graph, BFSOptions opts, HongVariant variant)
+HongBFS::HongBFS(const CsrGraph& graph, BFSOptions opts, HongVariant variant,
+                 TeamHandle team)
     : graph_(graph),
       opts_(opts),
       variant_(variant),
-      p_(std::max(1, opts.num_threads)),
-      team_(p_),
+      p_(team.width()),
       barrier_(p_),
       local_next_(static_cast<std::size_t>(p_)),
-      counters_(static_cast<std::size_t>(p_)) {
+      counters_(static_cast<std::size_t>(p_)),
+      team_(std::move(team)) {
   if (use_bitmap()) {
     bitmap_ = std::vector<std::atomic<std::uint64_t>>(
         (static_cast<std::size_t>(graph.num_vertices()) + 63) / 64);

@@ -35,7 +35,8 @@ std::string_view hong_variant_name(HongVariant variant);
 
 class HongBFS final : public ParallelBFS {
  public:
-  HongBFS(const CsrGraph& graph, BFSOptions opts, HongVariant variant);
+  HongBFS(const CsrGraph& graph, BFSOptions opts, HongVariant variant,
+          TeamHandle team);
 
   void run(vid_t source, BFSResult& out) override;
   std::string_view name() const override {
@@ -67,12 +68,12 @@ class HongBFS final : public ParallelBFS {
   const HongVariant variant_;
   const int p_;
 
-  ThreadTeam team_;
   SpinBarrier barrier_;
   std::vector<std::atomic<std::uint64_t>> bitmap_;
   std::vector<vid_t> frontier_;
   std::vector<std::vector<vid_t>> local_next_;
   std::vector<CacheAligned<ThreadCounters>> counters_;
+  TeamHandle team_;  ///< declared last: workers must never outlive state
 };
 
 }  // namespace optibfs

@@ -19,8 +19,6 @@ constexpr int kIdleThreshold = 4;
 /// sweep so a lone surviving batch is found without coupon-collecting.
 constexpr int kScanEvery = 8;
 
-int clamp_threads(int p) { return p < 1 ? 1 : p; }
-
 std::uint32_t clamp_batch(int b) {
   if (b < 1) return 1;
   if (b > 4096) return 4096;
@@ -38,10 +36,10 @@ std::size_t subqueue_capacity(vid_t n, int total_subqueues,
 
 }  // namespace
 
-AsyncBFS::AsyncBFS(const CsrGraph& graph, BFSOptions opts)
+AsyncBFS::AsyncBFS(const CsrGraph& graph, BFSOptions opts, TeamHandle team)
     : graph_(graph),
       opts_(opts),
-      p_(clamp_threads(opts.num_threads)),
+      p_(team.width()),
       batch_(clamp_batch(opts.async_batch_size)),
       wipe_mode_(graph.num_vertices() >= (vid_t{1} << 24)),
       queue_(p_, opts.async_subqueues < 1 ? 1 : opts.async_subqueues,
@@ -52,7 +50,7 @@ AsyncBFS::AsyncBFS(const CsrGraph& graph, BFSOptions opts)
       barrier_(p_),
       workers_(static_cast<std::size_t>(p_)),
       counters_(p_),
-      team_(p_) {
+      team_(std::move(team)) {
   if (opts_.storage_budget_bytes != 0) {
     graph_.set_storage_budget(opts_.storage_budget_bytes);
   }

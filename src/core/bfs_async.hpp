@@ -53,7 +53,7 @@ namespace optibfs {
 
 class AsyncBFS final : public ParallelBFS {
  public:
-  AsyncBFS(const CsrGraph& graph, BFSOptions opts);
+  AsyncBFS(const CsrGraph& graph, BFSOptions opts, TeamHandle team);
 
   void run(vid_t source, BFSResult& out) override;
   std::string_view name() const override { return "BFS_ASYNC"; }
@@ -153,7 +153,7 @@ class AsyncBFS final : public ParallelBFS {
 
   BFSResult* out_ = nullptr;  ///< valid during run()
 
-  ThreadTeam team_;  ///< declared last: workers must never outlive state
+  TeamHandle team_;  ///< declared last: workers must never outlive state
 };
 
 }  // namespace optibfs

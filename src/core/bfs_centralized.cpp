@@ -11,8 +11,9 @@ using enum telemetry::EventName;
 // BFS_C
 // ---------------------------------------------------------------------------
 
-CentralizedBFS::CentralizedBFS(const CsrGraph& graph, BFSOptions opts)
-    : BFSEngineBase("BFS_C", graph, std::move(opts)) {}
+CentralizedBFS::CentralizedBFS(const CsrGraph& graph, BFSOptions opts,
+                               TeamHandle team)
+    : BFSEngineBase("BFS_C", graph, std::move(opts), std::move(team)) {}
 
 void CentralizedBFS::on_level_prepared() {
   cur_queue_ = 0;
@@ -64,9 +65,10 @@ void CentralizedBFS::consume_level(int tid, level_t level) {
 
 CentralizedLockfreeBFS::CentralizedLockfreeBFS(const CsrGraph& graph,
                                                BFSOptions opts,
+                                               TeamHandle team,
                                                bool edge_balanced)
     : BFSEngineBase(edge_balanced ? "BFS_EBL" : "BFS_CL", graph,
-                    std::move(opts)),
+                    std::move(opts), std::move(team)),
       edge_balanced_(edge_balanced) {}
 
 void CentralizedLockfreeBFS::on_level_prepared() {
@@ -128,8 +130,9 @@ void CentralizedLockfreeBFS::consume_level(int tid, level_t level) {
 // ---------------------------------------------------------------------------
 
 DecentralizedLockfreeBFS::DecentralizedLockfreeBFS(const CsrGraph& graph,
-                                                   BFSOptions opts)
-    : BFSEngineBase("BFS_DL", graph, std::move(opts)) {
+                                                   BFSOptions opts,
+                                                   TeamHandle team)
+    : BFSEngineBase("BFS_DL", graph, std::move(opts), std::move(team)) {
   num_pools_ = std::clamp(options().dl_pools, 1, p_);
   pools_ = std::vector<CacheAligned<Pool>>(
       static_cast<std::size_t>(num_pools_));

@@ -24,7 +24,7 @@ namespace optibfs {
 /// BFS_C: all p threads fetch ⟨queue, front⟩ segments under one lock.
 class CentralizedBFS final : public BFSEngineBase {
  public:
-  CentralizedBFS(const CsrGraph& graph, BFSOptions opts);
+  CentralizedBFS(const CsrGraph& graph, BFSOptions opts, TeamHandle team);
 
  protected:
   void consume_level(int tid, level_t level) override;
@@ -42,7 +42,7 @@ class CentralizedBFS final : public BFSEngineBase {
 class CentralizedLockfreeBFS : public BFSEngineBase {
  public:
   CentralizedLockfreeBFS(const CsrGraph& graph, BFSOptions opts,
-                         bool edge_balanced = false);
+                         TeamHandle team, bool edge_balanced = false);
 
  protected:
   void consume_level(int tid, level_t level) override;
@@ -64,7 +64,8 @@ class CentralizedLockfreeBFS : public BFSEngineBase {
 /// BFS_DL: j centralized pools, each spanning p/j of the queues.
 class DecentralizedLockfreeBFS final : public BFSEngineBase {
  public:
-  DecentralizedLockfreeBFS(const CsrGraph& graph, BFSOptions opts);
+  DecentralizedLockfreeBFS(const CsrGraph& graph, BFSOptions opts,
+                           TeamHandle team);
 
  protected:
   void consume_level(int tid, level_t level) override;

@@ -30,23 +30,13 @@ Topology make_engine_topology(int p, const BFSOptions& o) {
   return Topology::flat(p);
 }
 
-/// Pin map for the worker team: the topology's own cpu map when it is
-/// physical, otherwise a fresh physical detection (simulated-socket
-/// topologies carry no cpu ids). Empty (no pinning) unless requested.
-std::vector<int> make_pin_map(const Topology& topo, int p,
-                              const BFSOptions& o) {
-  if (!o.pin_threads) return {};
-  if (!topo.cpu_map().empty()) return topo.cpu_map();
-  return Topology::physical(p).cpu_map();
-}
-
 }  // namespace
 
 BFSEngineBase::BFSEngineBase(std::string name, const CsrGraph& graph,
-                             BFSOptions opts)
+                             BFSOptions opts, TeamHandle team)
     : graph_(graph),
       opts_(opts),
-      p_(std::max(1, opts.num_threads)),
+      p_(team.width()),
       topology_(make_engine_topology(p_, opts)),
       // Slabs stay unfaulted until the first run's parallel region
       // zeroes each queue from its owner thread (first-touch).
@@ -60,7 +50,7 @@ BFSEngineBase::BFSEngineBase(std::string name, const CsrGraph& graph,
       name_(opts_.direction_mode == DirectionMode::kHybrid
                 ? std::move(name) + "_H"
                 : std::move(name)),
-      team_(p_, make_pin_map(topology_, p_, opts_)) {
+      team_(std::move(team)) {
   thp_baseline_ = opts_.huge_pages ? mem::anon_huge_bytes() : 0;
   if (opts_.parent_claim_dedup) {
     claim_ = std::vector<std::atomic<std::int32_t>>(graph_.num_vertices());

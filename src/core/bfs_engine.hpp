@@ -86,7 +86,9 @@ class BFSEngineBase : public ParallelBFS {
   int pinned_threads() const final { return team_.pinned_threads(); }
 
  protected:
-  BFSEngineBase(std::string name, const CsrGraph& graph, BFSOptions opts);
+  /// p is the width of `team` (owned or borrowed; see make_bfs).
+  BFSEngineBase(std::string name, const CsrGraph& graph, BFSOptions opts,
+                TeamHandle team);
 
   /// Per-worker mutable state. One cache-aligned instance per thread;
   /// the atomic members form the work-stealing control block that other
@@ -303,7 +305,7 @@ class BFSEngineBase : public ParallelBFS {
 
   BFSResult& result() { return *out_; }
 
-  ThreadTeam team_;  ///< declared last: workers must never outlive state
+  TeamHandle team_;  ///< declared last: workers must never outlive state
 };
 
 }  // namespace optibfs

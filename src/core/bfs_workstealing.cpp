@@ -15,9 +15,10 @@ std::string WorkStealingBFS::variant_name(bool use_locks,
 }
 
 WorkStealingBFS::WorkStealingBFS(const CsrGraph& graph, BFSOptions opts,
-                                 bool use_locks, bool scale_free_mode)
+                                 TeamHandle team, bool use_locks,
+                                 bool scale_free_mode)
     : BFSEngineBase(variant_name(use_locks, scale_free_mode), graph,
-                    std::move(opts)),
+                    std::move(opts), std::move(team)),
       use_locks_(use_locks) {
   if (scale_free_mode) enable_scale_free();
 }

@@ -24,8 +24,8 @@ namespace optibfs {
 
 class WorkStealingBFS final : public BFSEngineBase {
  public:
-  WorkStealingBFS(const CsrGraph& graph, BFSOptions opts, bool use_locks,
-                  bool scale_free_mode);
+  WorkStealingBFS(const CsrGraph& graph, BFSOptions opts, TeamHandle team,
+                  bool use_locks, bool scale_free_mode);
 
  protected:
   void consume_level(int tid, level_t level) override;

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace optibfs {
 
@@ -13,58 +14,50 @@ using enum telemetry::Counter;
 using enum telemetry::EventName;
 
 MsBfsSession::MsBfsSession(const CsrGraph& graph, const BFSOptions& options)
-    : graph_(graph),
-      opts_(options),
-      hybrid_(options.direction_mode == DirectionMode::kHybrid &&
-              options.alpha > 0),
-      transpose_(hybrid_ ? &graph.transpose() : nullptr),
-      owned_pool_(std::make_unique<ForkJoinPool>(
-          std::max(1, options.num_threads))),
-      pool_(owned_pool_.get()),
-      p_(pool_->num_workers()),
-      queues_(p_, graph.num_vertices()),
-      barrier_(p_),
-      explored_(static_cast<std::size_t>(p_)),
-      counters_(p_),
-      traces_(static_cast<std::size_t>(p_)) {
-  init_masks();
-}
+    : MsBfsSession(graph, options,
+                   TeamHandle(options.num_threads, options.pin_threads)) {}
 
 MsBfsSession::MsBfsSession(const CsrGraph& graph, const BFSOptions& options,
-                           ForkJoinPool& pool)
+                           ThreadTeam& team)
+    : MsBfsSession(graph, options, TeamHandle(team)) {}
+
+MsBfsSession::MsBfsSession(const CsrGraph& graph, const BFSOptions& options,
+                           TeamHandle team)
     : graph_(graph),
       opts_(options),
       hybrid_(options.direction_mode == DirectionMode::kHybrid &&
               options.alpha > 0),
       transpose_(hybrid_ ? &graph.transpose() : nullptr),
-      pool_(&pool),
-      p_(std::min(std::max(1, options.num_threads), pool.num_workers())),
+      p_(team.width()),
       queues_(p_, graph.num_vertices()),
       barrier_(p_),
       explored_(static_cast<std::size_t>(p_)),
       counters_(p_),
-      traces_(static_cast<std::size_t>(p_)) {
-  init_masks();
-}
-
-void MsBfsSession::init_masks() {
+      traces_(static_cast<std::size_t>(p_)),
+      team_(std::move(team)) {
   const vid_t n = graph_.num_vertices();
   seen_.grow(n, opts_.huge_pages);
   visit_.grow(n, opts_.huge_pages);
   visit_next_.grow(n, opts_.huge_pages);
   if (n == 0) return;
-  // First-touch: each pool chunk zeroes its own slice, so the mask
-  // pages fault near the workers that will hammer them. memset into
-  // atomic storage is the same pragmatism class as the clearing trick
-  // (DESIGN.md §13); the pool join publishes the zeroes before any
-  // wave runs.
-  pool_->parallel_for(0, n, 4096, [&](std::int64_t lo, std::int64_t hi) {
-    const std::size_t bytes = static_cast<std::size_t>(hi - lo) *
-                              sizeof(std::atomic<std::uint64_t>);
+  // First touch: each member zeroes its owned slice, so the mask pages
+  // fault near the workers that hammer them (memset into atomic storage:
+  // the clearing trick's pragmatism class, DESIGN.md §13).
+  team_.run([this](int tid) {
+    const auto [lo, hi] = owned(tid);
+    const std::size_t bytes =
+        static_cast<std::size_t>(hi - lo) * sizeof(std::atomic<std::uint64_t>);
     std::memset(static_cast<void*>(seen_.data() + lo), 0, bytes);
     std::memset(static_cast<void*>(visit_.data() + lo), 0, bytes);
     std::memset(static_cast<void*>(visit_next_.data() + lo), 0, bytes);
   });
+}
+
+std::pair<vid_t, vid_t> MsBfsSession::owned(int tid) const {
+  const auto n = static_cast<std::uint64_t>(graph_.num_vertices());
+  const auto t = static_cast<std::uint64_t>(tid);
+  const auto p = static_cast<std::uint64_t>(p_);
+  return {static_cast<vid_t>(n * t / p), static_cast<vid_t>(n * (t + 1) / p)};
 }
 
 void MsBfsSession::run(const std::vector<vid_t>& sources, MsBfsResult& out) {
@@ -97,8 +90,9 @@ void MsBfsSession::run(const std::vector<vid_t>& sources, MsBfsResult& out) {
   const std::size_t cells = sources.size() * static_cast<std::size_t>(n);
   bool grew = out.distance.capacity() < cells ||
               out.vertices_explored.capacity() < sources.size();
-  if (graph_.is_reordered() && remap_scratch_.size() < n) {
-    remap_scratch_.resize(n);
+  const std::size_t scratch = static_cast<std::size_t>(p_) * n;
+  if (graph_.is_reordered() && remap_scratch_.size() < scratch) {
+    remap_scratch_.resize(scratch);
     grew = true;
   }
   if (grew) {
@@ -116,14 +110,8 @@ void MsBfsSession::run(const std::vector<vid_t>& sources, MsBfsResult& out) {
               std::uint64_t{0});
   }
 
-  // Reset wave state. Only `seen_` needs clearing: the previous wave
-  // left `visit_`/`visit_next_` all-zero (header invariant) and — with
-  // the clearing trick on — every queue slot zeroed by its reader.
-  pool_->parallel_for(0, n, 4096, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t v = lo; v < hi; ++v) {
-      seen_[static_cast<std::size_t>(v)].store(0, std::memory_order_relaxed);
-    }
-  });
+  // The previous wave left the masks all-zero (header invariant) and —
+  // with the clearing trick on — every queue slot zeroed by its reader.
   if (!opts_.clear_slots) {
     // Ablation mode forfeits the all-slots-0 reuse invariant; scrub.
     queues_.hard_reset();
@@ -133,7 +121,7 @@ void MsBfsSession::run(const std::vector<vid_t>& sources, MsBfsResult& out) {
 
   // Seed all sources (each distinct vertex enqueued once; its mask
   // carries every source bit that starts there). Sources arrive in
-  // original IDs; the wave runs internal, remap_distances restores.
+  // original IDs; the wave runs internal, and its tail remaps the rows.
   for (std::size_t s = 0; s < sources.size(); ++s) {
     const vid_t v = graph_.to_internal(sources[s]);
     const std::uint64_t bit = std::uint64_t{1} << s;
@@ -161,8 +149,7 @@ void MsBfsSession::run(const std::vector<vid_t>& sources, MsBfsResult& out) {
   frontier_size_ = queues_.total_in();
   bottom_up_levels_count_ = 0;
 
-  pool_->run_team(p_, [&](int tid) { run_wave(tid, out); });
-  remap_distances(out);
+  team_.run([&](int tid) { run_wave(tid, out); });
 
   out.bottom_up_levels = bottom_up_levels_count_;
   for (const auto& counts : explored_) {
@@ -320,6 +307,20 @@ void MsBfsSession::run_wave(int tid, MsBfsResult& out) {
     barrier_.arrive_and_wait(&ctr[kBarrierSpins]);
     ++depth;
   }
+  // All members passed the final barrier, so masks and rows are final:
+  // clear the owned slice of seen_ for the next wave and, on a
+  // reordered graph, scatter rows tid, tid + p, ... to original IDs
+  // (bfs_result.hpp convention). The team join publishes both.
+  const auto [lo, hi] = owned(tid);
+  for (vid_t v = lo; v < hi; ++v) seen_[v].store(0, std::memory_order_relaxed);
+  if (!graph_.is_reordered()) return;
+  const vid_t* inv = graph_.inv_perm().data();
+  level_t* scratch = remap_scratch_.data() + static_cast<std::size_t>(tid) * n;
+  for (int s = tid; s < out.num_sources; s += p_) {
+    level_t* row = out.distance.data() + static_cast<std::size_t>(s) * n;
+    std::copy(row, row + n, scratch);
+    for (vid_t v = 0; v < n; ++v) row[inv[v]] = scratch[v];
+  }
 }
 
 void MsBfsSession::prepare_direction(std::int64_t next_size) {
@@ -365,12 +366,7 @@ void MsBfsSession::run_level_bottom_up(int tid, level_t depth,
   // pair exactly once.
   (void)queues_.retire_in(tid, opts_.clear_slots);
 
-  const vid_t lo = static_cast<vid_t>(
-      static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(tid) /
-      static_cast<std::uint64_t>(p_));
-  const vid_t hi = static_cast<vid_t>(
-      static_cast<std::uint64_t>(n) * (static_cast<std::uint64_t>(tid) + 1) /
-      static_cast<std::uint64_t>(p_));
+  const auto [lo, hi] = owned(tid);
 
   // Owner-computes pull: this thread is the only writer of seen_[v],
   // visit_next_[v], the distance entries, and its own out-queue for
@@ -424,31 +420,6 @@ void MsBfsSession::run_level_bottom_up(int tid, level_t depth,
       bits &= bits - 1;
       ++explored_[static_cast<std::size_t>(tid)]->per_source[s];
     }
-  }
-}
-
-void MsBfsSession::remap_distances(MsBfsResult& out) {
-  if (!graph_.is_reordered()) return;
-  const vid_t n = graph_.num_vertices();
-  const vid_t* inv = graph_.inv_perm().data();
-  level_t* scratch = remap_scratch_.data();
-  // Row-by-row in-place scatter through the session-owned scratch row
-  // (sized at wave start, so this path allocates nothing).
-  for (int s = 0; s < out.num_sources; ++s) {
-    level_t* row =
-        out.distance.data() + static_cast<std::size_t>(s) * n;
-    pool_->parallel_for(0, n, 8192,
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t v = lo; v < hi; ++v) {
-                            scratch[v] = row[v];
-                          }
-                        });
-    pool_->parallel_for(0, n, 8192,
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t v = lo; v < hi; ++v) {
-                            row[inv[v]] = scratch[v];
-                          }
-                        });
   }
 }
 

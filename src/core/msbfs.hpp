@@ -29,14 +29,14 @@
 //  * multi_source_bfs() — one-shot convenience (allocates everything,
 //    runs one wave, tears down).
 //  * MsBfsSession — the batch-entry API the query service uses: the
-//    visited/visit masks, frontier queue pool, and worker set (a
-//    persistent ForkJoinPool) are allocated once and reused across
-//    waves, so a high-QPS caller pays no per-wave thread create/join
-//    and no per-wave O(p*n) allocation.
+//    visited/visit masks, frontier queue pool, and worker team (owned,
+//    or the serving replica's borrowed ThreadTeam) are set up once and
+//    reused across waves, so a high-QPS caller pays no per-wave thread
+//    create/join and no per-wave allocation. A wave is one team region.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/bfs_options.hpp"
@@ -44,9 +44,9 @@
 #include "core/scratch_arena.hpp"
 #include "graph/csr_graph.hpp"
 #include "runtime/cache_aligned.hpp"
-#include "runtime/fork_join_pool.hpp"
 #include "runtime/mem_topology.hpp"
 #include "runtime/spin_barrier.hpp"
+#include "runtime/thread_team.hpp"
 #include "telemetry/counters.hpp"
 #include "telemetry/recorder.hpp"
 
@@ -93,15 +93,13 @@ class MsBfsSession {
   /// Largest batch a single wave can carry (one bit per source).
   static constexpr int kMaxBatch = 64;
 
-  /// Owns a private ForkJoinPool of options.num_threads workers.
+  /// Owns a team of options.num_threads workers.
   MsBfsSession(const CsrGraph& graph, const BFSOptions& options);
 
-  /// Executes waves on `pool` (borrowed; must outlive the session). The
-  /// team width is min(options.num_threads, pool.num_workers()). The
-  /// pool must not run unrelated work while a wave is in flight — wave
-  /// members barrier against each other (ForkJoinPool::run_team).
+  /// Runs waves on `team` (borrowed; must outlive the session, and runs
+  /// one region at a time). The session's width is the team's width.
   MsBfsSession(const CsrGraph& graph, const BFSOptions& options,
-               ForkJoinPool& pool);
+               ThreadTeam& team);
 
   MsBfsSession(const MsBfsSession&) = delete;
   MsBfsSession& operator=(const MsBfsSession&) = delete;
@@ -128,16 +126,13 @@ class MsBfsSession {
   ArenaStats arena_stats() const { return arena_; }
 
  private:
-  /// Grows + first-touches the three mask arrays (both ctors). The
-  /// pool zeroes chunk-owned slices so pages fault near their workers;
-  /// the memset also establishes the all-zero invariant visit_/
-  /// visit_next_ rely on.
-  void init_masks();
+  MsBfsSession(const CsrGraph& graph, const BFSOptions& options,
+               TeamHandle team);
+
+  /// Thread tid's owned vertex slice (first touch, seen_ reset, pulls).
+  std::pair<vid_t, vid_t> owned(int tid) const;
   void run_wave(int tid, MsBfsResult& out);
   void run_level_bottom_up(int tid, level_t depth, MsBfsResult& out);
-  /// Scatters out.distance rows from internal to original vertex IDs
-  /// (reordered graphs only; bfs_result.hpp convention).
-  void remap_distances(MsBfsResult& out);
   /// Barrier-window-only: Beamer alpha/beta bookkeeping deciding the
   /// next level's direction.
   void prepare_direction(std::int64_t next_size);
@@ -146,16 +141,15 @@ class MsBfsSession {
   const BFSOptions opts_;
   const bool hybrid_;  ///< direction_mode == kHybrid && alpha > 0
   const CsrGraph* transpose_ = nullptr;  ///< cached iff hybrid_
-  std::unique_ptr<ForkJoinPool> owned_pool_;
-  ForkJoinPool* pool_;  // owned_pool_.get() or the borrowed pool
   const int p_;
 
-  // Per-vertex source masks. `seen_` is cleared at wave start (in
-  // parallel); `visit_`/`visit_next_` rely on the end-of-wave all-zero
-  // invariant (every processed vertex exchanges its mask away, and the
-  // final level swap happens with an empty next frontier). Placed
-  // (DESIGN.md §13): raw unfaulted allocations, optionally huge-page
-  // advised, first-touch zeroed by the worker pool in init_masks().
+  // Per-vertex source masks, all-zero between waves: each thread clears
+  // its owned slice of `seen_` at the end of the wave region, and
+  // `visit_`/`visit_next_` end all-zero by construction (every
+  // processed vertex exchanges its mask away, and the final level swap
+  // happens with an empty next frontier). Placed (DESIGN.md §13): raw
+  // unfaulted allocations, optionally huge-page advised, first-touch
+  // zeroed by the team over owned slices in the constructor.
   mem::PlacedBuffer<std::atomic<std::uint64_t>> seen_;
   mem::PlacedBuffer<std::atomic<std::uint64_t>> visit_;
   mem::PlacedBuffer<std::atomic<std::uint64_t>> visit_next_;
@@ -175,7 +169,7 @@ class MsBfsSession {
   std::int64_t frontier_size_ = 0;
   std::uint64_t bottom_up_levels_count_ = 0;
 
-  /// Reordered-graph support: one row of scratch for the in-place
+  /// Reordered graphs: one scratch row per member for the end-of-wave
   /// distance scatter, reused across waves (zero steady-state alloc).
   std::vector<level_t> remap_scratch_;
   ArenaStats arena_;
@@ -193,10 +187,12 @@ class MsBfsSession {
   std::vector<telemetry::ThreadTrace> traces_;
   telemetry::ThreadTrace wave_trace_;  ///< caller-side whole-wave spans
   bool trace_slots_acquired_ = false;
+
+  TeamHandle team_;  ///< declared last: workers must never outlive state
 };
 
 /// One-shot convenience wrapper: builds a temporary session (private
-/// worker pool) and runs a single wave. See MsBfsSession for the
+/// worker team) and runs a single wave. See MsBfsSession for the
 /// reusable batch-entry API.
 MsBfsResult multi_source_bfs(const CsrGraph& graph,
                              const std::vector<vid_t>& sources,

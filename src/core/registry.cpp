@@ -1,6 +1,7 @@
 #include "core/registry.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "baselines/direction_optimizing.hpp"
 #include "baselines/hong_bfs.hpp"
@@ -32,11 +33,10 @@ class SerialBFSEngine final : public ParallelBFS {
   BFSOptions opts_;
 };
 
-}  // namespace
-
-std::unique_ptr<ParallelBFS> make_bfs(std::string_view algorithm,
-                                      const CsrGraph& graph,
-                                      const BFSOptions& options) {
+std::unique_ptr<ParallelBFS> make_engine(std::string_view algorithm,
+                                         const CsrGraph& graph,
+                                         const BFSOptions& options,
+                                         TeamHandle team) {
   // `_H` suffix: the same optimistic engine with direction_mode forced
   // to kHybrid (the engine base appends the suffix to its name, so the
   // name round-trips). Restricted to the engine-base family — the
@@ -50,7 +50,7 @@ std::unique_ptr<ParallelBFS> make_bfs(std::string_view algorithm,
       if (base == eligible) {
         BFSOptions hybrid = options;
         hybrid.direction_mode = DirectionMode::kHybrid;
-        return make_bfs(base, graph, hybrid);
+        return make_engine(base, graph, hybrid, std::move(team));
       }
     }
   }
@@ -58,62 +58,65 @@ std::unique_ptr<ParallelBFS> make_bfs(std::string_view algorithm,
     return std::make_unique<SerialBFSEngine>(graph, options);
   }
   if (algorithm == "BFS_C") {
-    return std::make_unique<CentralizedBFS>(graph, options);
+    return std::make_unique<CentralizedBFS>(graph, options, std::move(team));
   }
   if (algorithm == "BFS_CL") {
-    return std::make_unique<CentralizedLockfreeBFS>(graph, options);
+    return std::make_unique<CentralizedLockfreeBFS>(graph, options,
+                                                    std::move(team));
   }
   if (algorithm == "BFS_EBL") {
-    return std::make_unique<CentralizedLockfreeBFS>(graph, options,
-                                                    /*edge_balanced=*/true);
+    return std::make_unique<CentralizedLockfreeBFS>(
+        graph, options, std::move(team), /*edge_balanced=*/true);
   }
   if (algorithm == "BFS_DL") {
-    return std::make_unique<DecentralizedLockfreeBFS>(graph, options);
+    return std::make_unique<DecentralizedLockfreeBFS>(graph, options,
+                                                      std::move(team));
   }
-  if (algorithm == "BFS_W") {
-    return std::make_unique<WorkStealingBFS>(graph, options,
-                                             /*use_locks=*/true,
-                                             /*scale_free_mode=*/false);
-  }
-  if (algorithm == "BFS_WL") {
-    return std::make_unique<WorkStealingBFS>(graph, options,
-                                             /*use_locks=*/false,
-                                             /*scale_free_mode=*/false);
-  }
-  if (algorithm == "BFS_WS") {
-    return std::make_unique<WorkStealingBFS>(graph, options,
-                                             /*use_locks=*/true,
-                                             /*scale_free_mode=*/true);
-  }
-  if (algorithm == "BFS_WSL") {
-    return std::make_unique<WorkStealingBFS>(graph, options,
-                                             /*use_locks=*/false,
-                                             /*scale_free_mode=*/true);
+  if (algorithm == "BFS_W" || algorithm == "BFS_WL" || algorithm == "BFS_WS" ||
+      algorithm == "BFS_WSL") {
+    return std::make_unique<WorkStealingBFS>(
+        graph, options, std::move(team),
+        /*use_locks=*/algorithm == "BFS_W" || algorithm == "BFS_WS",
+        /*scale_free_mode=*/algorithm == "BFS_WS" || algorithm == "BFS_WSL");
   }
   if (algorithm == "BFS_ASYNC") {
-    return std::make_unique<AsyncBFS>(graph, options);
+    return std::make_unique<AsyncBFS>(graph, options, std::move(team));
   }
   if (algorithm == "PBFS") {
     return std::make_unique<PBFS>(graph, options);
   }
-  if (algorithm == "HONG_QUEUE") {
-    return std::make_unique<HongBFS>(graph, options, HongVariant::kQueue);
-  }
-  if (algorithm == "HONG_READ") {
-    return std::make_unique<HongBFS>(graph, options, HongVariant::kRead);
-  }
-  if (algorithm == "HONG_HYBRID") {
-    return std::make_unique<HongBFS>(graph, options, HongVariant::kHybrid);
-  }
-  if (algorithm == "HONG_LOCAL_BITMAP") {
-    return std::make_unique<HongBFS>(graph, options,
-                                     HongVariant::kHybridBitmap);
+  for (const HongVariant variant :
+       {HongVariant::kQueue, HongVariant::kRead, HongVariant::kHybrid,
+        HongVariant::kHybridBitmap}) {
+    if (algorithm == hong_variant_name(variant)) {
+      return std::make_unique<HongBFS>(graph, options, variant,
+                                       std::move(team));
+    }
   }
   if (algorithm == "DO_BFS") {
-    return std::make_unique<DirectionOptimizingBFS>(graph, options);
+    return std::make_unique<DirectionOptimizingBFS>(graph, options,
+                                                    std::move(team));
   }
   throw std::invalid_argument("make_bfs: unknown algorithm '" +
                               std::string(algorithm) + "'");
+}
+
+}  // namespace
+
+std::unique_ptr<ParallelBFS> make_bfs(std::string_view algorithm,
+                                      const CsrGraph& graph,
+                                      const BFSOptions& options) {
+  return make_engine(algorithm, graph, options,
+                     TeamHandle(options.num_threads, options.pin_threads));
+}
+
+std::unique_ptr<ParallelBFS> make_bfs(std::string_view algorithm,
+                                      const CsrGraph& graph,
+                                      const BFSOptions& options,
+                                      ThreadTeam& team) {
+  BFSOptions on_team = options;
+  on_team.num_threads = team.num_threads();
+  return make_engine(algorithm, graph, on_team, TeamHandle(team));
 }
 
 std::vector<std::string> all_algorithms() {

@@ -43,6 +43,13 @@ std::unique_ptr<ParallelBFS> make_bfs(std::string_view algorithm,
                                       const CsrGraph& graph,
                                       const BFSOptions& options);
 
+/// Same, on a borrowed `team` whose width is the engine's (sbfs runs on
+/// the caller and PBFS on its own work-stealing pool).
+std::unique_ptr<ParallelBFS> make_bfs(std::string_view algorithm,
+                                      const CsrGraph& graph,
+                                      const BFSOptions& options,
+                                      ThreadTeam& team);
+
 /// All registered names, in canonical (paper-table) order.
 std::vector<std::string> all_algorithms();
 

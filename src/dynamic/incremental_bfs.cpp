@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace optibfs {
 
@@ -29,26 +30,20 @@ inline bool improvable(const level_t* level, vid_t x, level_t bound) {
 }  // namespace
 
 IncrementalBfsEngine::IncrementalBfsEngine(Config config)
+    : IncrementalBfsEngine(
+          config, TeamHandle(config.bfs.num_threads, config.bfs.pin_threads)) {}
+
+IncrementalBfsEngine::IncrementalBfsEngine(Config config, ThreadTeam& team)
+    : IncrementalBfsEngine(config, TeamHandle(team)) {}
+
+IncrementalBfsEngine::IncrementalBfsEngine(Config config, TeamHandle team)
     : config_(config),
-      p_(std::max(1, config.bfs.num_threads)),
+      p_(team.width()),
       barrier_(p_),
       counters_(p_ + 1),
-      lanes_(static_cast<std::size_t>(p_)) {}
-
-IncrementalBfsEngine::IncrementalBfsEngine(Config config, ForkJoinPool& pool)
-    : config_(config),
-      p_(std::clamp(config.bfs.num_threads, 1, pool.num_workers())),
-      borrowed_pool_(&pool),
-      barrier_(p_),
-      counters_(p_ + 1),
-      lanes_(static_cast<std::size_t>(p_)) {}
-
-IncrementalBfsEngine::~IncrementalBfsEngine() = default;
-
-ForkJoinPool& IncrementalBfsEngine::pool() {
-  if (borrowed_pool_ != nullptr) return *borrowed_pool_;
-  if (owned_pool_ == nullptr) owned_pool_ = std::make_unique<ForkJoinPool>(p_);
-  return *owned_pool_;
+      lanes_(static_cast<std::size_t>(p_)),
+      team_(std::move(team)) {
+  config_.bfs.num_threads = p_;
 }
 
 bool IncrementalBfsEngine::collect_cone(const GraphSnapshot& snap,
@@ -228,7 +223,7 @@ void IncrementalBfsEngine::run_waves(const GraphSnapshot& snap,
     lane.value.next.clear();
   }
   if (parallel && p_ > 1) {
-    pool().run_team(p_, [&](int tid) { wave_worker(tid, snap, level.data()); });
+    team_.run([&](int tid) { wave_worker(tid, snap, level.data()); });
   } else {
     level_t* lv = level.data();
     std::uint64_t* ctr = counters_.slab(0);

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -38,8 +37,8 @@
 #include "dynamic/dynamic_graph.hpp"
 #include "graph/types.hpp"
 #include "runtime/cache_aligned.hpp"
-#include "runtime/fork_join_pool.hpp"
 #include "runtime/spin_barrier.hpp"
+#include "runtime/thread_team.hpp"
 #include "telemetry/counters.hpp"
 #include "telemetry/recorder.hpp"
 
@@ -83,18 +82,17 @@ class IncrementalBfsEngine {
     /// two-vertex ripple is pure overhead. 0 forces the parallel path
     /// (tests use this to exercise the benign races under TSan).
     std::uint64_t parallel_cutoff = 2048;
-    /// Thread count, telemetry recorder, seed (other fields unused).
+    /// Threads, pinning, telemetry recorder, seed (other fields unused).
     BFSOptions bfs;
   };
 
-  /// Owns a private ForkJoinPool of bfs.num_threads workers.
+  /// Owns a team of bfs.num_threads workers, started lazily.
   IncrementalBfsEngine() : IncrementalBfsEngine(Config{}) {}
   explicit IncrementalBfsEngine(Config config);
-  /// Borrows `pool` (must outlive the engine; num_threads is clamped to
-  /// its worker count). The service shares one pool across the MS-BFS
-  /// session and repair waves.
-  IncrementalBfsEngine(Config config, ForkJoinPool& pool);
-  ~IncrementalBfsEngine();
+  /// Runs its parallel wave loops on `team` (borrowed; must outlive the
+  /// engine). The engine's width is the team's width: a serving
+  /// replica's delta-path recomputes share the team of its waves.
+  IncrementalBfsEngine(Config config, ThreadTeam& team);
 
   IncrementalBfsEngine(const IncrementalBfsEngine&) = delete;
   IncrementalBfsEngine& operator=(const IncrementalBfsEngine&) = delete;
@@ -122,8 +120,7 @@ class IncrementalBfsEngine {
     std::vector<vid_t> next;    ///< improvement candidates for wave d+1
   };
 
-  int threads() const { return p_; }
-  ForkJoinPool& pool();
+  IncrementalBfsEngine(Config config, TeamHandle team);
   /// Collects the deletion cone into mark_/cone_. Returns false when it
   /// exceeds `cap` (nothing mutated).
   bool collect_cone(const GraphSnapshot& snap, const BatchSummary& batch,
@@ -142,8 +139,6 @@ class IncrementalBfsEngine {
 
   Config config_;
   int p_;
-  ForkJoinPool* borrowed_pool_ = nullptr;
-  std::unique_ptr<ForkJoinPool> owned_pool_;
   SpinBarrier barrier_;
   telemetry::CounterRegistry counters_;  ///< p_ worker slabs + 1 window slab
   telemetry::CounterSnapshot totals_;
@@ -165,6 +160,8 @@ class IncrementalBfsEngine {
   std::vector<std::uint32_t> mark_;
   std::uint32_t mark_gen_ = 0;
   std::vector<vid_t> cone_;
+
+  TeamHandle team_;  ///< declared last: workers must never outlive state
 };
 
 }  // namespace optibfs

@@ -1,7 +1,10 @@
 #include "harness/experiment.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <iostream>
 
 #include "core/registry.hpp"
 #include "harness/json_writer.hpp"
@@ -70,11 +73,15 @@ std::vector<ExperimentCell> run_experiment(
 namespace {
 
 int env_int(const char* name, int fallback) {
-  if (const char* raw = std::getenv(name)) {
-    const int value = std::atoi(raw);
-    if (value > 0) return value;
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  int value = 0;
+  const auto [end, ec] = std::from_chars(raw, raw + std::strlen(raw), value);
+  if (ec != std::errc() || *end != '\0' || value < 1) {
+    std::cerr << name << " expects a positive integer, not '" << raw << "'\n";
+    std::exit(2);
   }
-  return fallback;
+  return value;
 }
 
 }  // namespace

@@ -53,6 +53,8 @@ bool write_cells_json(const std::string& path, const std::string& bench_name,
 ///   OPTIBFS_SOURCES — sources per measurement (default `default_sources`)
 ///   OPTIBFS_THREADS — max worker threads    (default `default_threads`)
 ///   OPTIBFS_VERIFY  — 1 = verify every run against the serial oracle
+/// A count that is set must be a positive integer: anything else exits
+/// 2 with a message instead of silently running another experiment.
 int env_sources(int default_sources);
 int env_threads(int default_threads);
 bool env_verify();

@@ -23,8 +23,10 @@ inline bool cas_min(vid_t& slot, vid_t want, std::uint64_t* c) {
 }  // namespace
 
 ComponentsKernel::ComponentsKernel(const CsrGraph& g, const BFSOptions& opts,
-                                   bool use_cas)
-    : g_(g), use_cas_(use_cas), sub_(g, opts, /*undirected_view=*/true) {}
+                                   bool use_cas, TeamHandle team)
+    : g_(g),
+      use_cas_(use_cas),
+      sub_(g, opts, /*undirected_view=*/true, std::move(team)) {}
 
 void ComponentsKernel::run(KernelResult& out) {
   const vid_t n = sub_.n();

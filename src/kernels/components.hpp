@@ -33,7 +33,8 @@ namespace optibfs::kernels {
 
 class ComponentsKernel final : public GraphKernel {
  public:
-  ComponentsKernel(const CsrGraph& g, const BFSOptions& opts, bool use_cas);
+  ComponentsKernel(const CsrGraph& g, const BFSOptions& opts, bool use_cas,
+                   TeamHandle team);
 
   const char* name() const override { return use_cas_ ? "CC_RMW" : "CC"; }
   void run(KernelResult& out) override;

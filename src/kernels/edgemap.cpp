@@ -2,31 +2,20 @@
 
 #include <algorithm>
 #include <cstring>
-
-#include "runtime/topology.hpp"
+#include <utility>
 
 namespace optibfs::kernels {
 
-namespace {
-// Same pin policy as the BFS engines: pin_threads maps worker tid ->
-// physical cpu via sysfs detection; empty map = no pinning.
-std::vector<int> kernel_pin_map(const BFSOptions& opts, int p) {
-  if (!opts.pin_threads) return {};
-  return Topology::physical(p).cpu_map();
-}
-}  // namespace
-
 KernelSubstrate::KernelSubstrate(const CsrGraph& g, const BFSOptions& opts,
-                                 bool undirected_view)
+                                 bool undirected_view, TeamHandle team)
     : g_(&g),
       tr_(undirected_view ? &g.transpose() : nullptr),
       n_(g.num_vertices()),
-      p_(std::max(1, opts.num_threads)),
+      p_(team.width()),
       max_rounds_(opts.kernel_max_rounds),
-      counters_(std::max(1, opts.num_threads)),
-      barrier_(std::max(1, opts.num_threads)),
-      team_(std::max(1, opts.num_threads),
-            kernel_pin_map(opts, std::max(1, opts.num_threads))) {
+      counters_(p_),
+      barrier_(p_),
+      team_(std::move(team)) {
   degree_.resize(n_);
   for (vid_t v = 0; v < n_; ++v) {
     vid_t d = g_->out_degree(v);

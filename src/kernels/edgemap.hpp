@@ -3,7 +3,8 @@
 // This extracts the execution skeleton every optimistic kernel shares
 // out of the BFS engines (DESIGN.md §11):
 //
-//  * a persistent ThreadTeam + SpinBarrier pair — level-synchronous
+//  * a ThreadTeam (owned, or a serving replica's borrowed one) +
+//    SpinBarrier pair — level-synchronous
 //    super-steps ("rounds") with single-threaded barrier windows for
 //    the serial epilogue work (frontier swap, mode choice, chunking);
 //  * a dense/sparse switching frontier. Activations are deduplicated
@@ -61,9 +62,10 @@ class KernelSubstrate {
   /// `undirected_view` makes neighbor iteration and degrees cover the
   /// superposed out+in multigraph (builds the transpose once, at
   /// construction — off the hot path). CC/k-core/MIS want this;
-  /// delta-PageRank pushes along out-edges only.
+  /// delta-PageRank pushes along out-edges only. p is the width of
+  /// `team` (owned or borrowed; see make_kernel).
   KernelSubstrate(const CsrGraph& g, const BFSOptions& opts,
-                  bool undirected_view);
+                  bool undirected_view, TeamHandle team);
 
   const CsrGraph& graph() const { return *g_; }
   vid_t n() const { return n_; }
@@ -83,7 +85,7 @@ class KernelSubstrate {
   /// Zeroes every slab — call between runs, outside parallel().
   void reset_counters() { counters_.reset(); }
 
-  /// Runs body(tid) on the persistent team; blocks until all return.
+  /// Runs body(tid) on the team; blocks until all return.
   void parallel(const std::function<void(int)>& body) { team_.run(body); }
 
   /// Barrier; returns true for exactly one thread (the serial window).
@@ -296,7 +298,7 @@ class KernelSubstrate {
 
   telemetry::CounterRegistry counters_;
   SpinBarrier barrier_;
-  ThreadTeam team_;  // declared last: workers must die first
+  TeamHandle team_;  // declared last: workers must die first
 };
 
 }  // namespace optibfs::kernels

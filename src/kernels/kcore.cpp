@@ -3,11 +3,11 @@
 namespace optibfs::kernels {
 
 KCoreKernel::KCoreKernel(const CsrGraph& g, const BFSOptions& opts,
-                         bool use_rmw)
+                         bool use_rmw, TeamHandle team)
     : g_(g),
       use_rmw_(use_rmw),
       max_rounds_(opts.kernel_max_rounds),
-      sub_(g, opts, /*undirected_view=*/true) {}
+      sub_(g, opts, /*undirected_view=*/true, std::move(team)) {}
 
 void KCoreKernel::run(KernelResult& out) {
   const vid_t n = sub_.n();

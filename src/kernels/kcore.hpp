@@ -30,7 +30,8 @@ namespace optibfs::kernels {
 
 class KCoreKernel final : public GraphKernel {
  public:
-  KCoreKernel(const CsrGraph& g, const BFSOptions& opts, bool use_rmw);
+  KCoreKernel(const CsrGraph& g, const BFSOptions& opts, bool use_rmw,
+              TeamHandle team);
 
   const char* name() const override {
     return use_rmw_ ? "KCORE_RMW" : "KCORE";

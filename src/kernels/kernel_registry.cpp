@@ -1,6 +1,7 @@
 #include "kernels/kernel_registry.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "kernels/components.hpp"
 #include "kernels/kcore.hpp"
@@ -29,25 +30,41 @@ bool is_kernel(const std::string& name) {
   return false;
 }
 
+namespace {
+
+std::unique_ptr<GraphKernel> make_on(const std::string& name,
+                                     const CsrGraph& graph,
+                                     const BFSOptions& options,
+                                     TeamHandle team) {
+  const bool rmw = name.ends_with("_RMW");
+  const std::string base = rmw ? name.substr(0, name.size() - 4) : name;
+  if (base == "CC")
+    return std::make_unique<ComponentsKernel>(graph, options, rmw,
+                                              std::move(team));
+  if (base == "KCORE")
+    return std::make_unique<KCoreKernel>(graph, options, rmw, std::move(team));
+  if (base == "MIS")
+    return std::make_unique<MisKernel>(graph, options, rmw, std::move(team));
+  if (base == "PRDELTA")
+    return std::make_unique<PageRankDeltaKernel>(graph, options, rmw,
+                                                 std::move(team));
+  throw std::invalid_argument("unknown kernel: " + name);
+}
+
+}  // namespace
+
 std::unique_ptr<GraphKernel> make_kernel(const std::string& name,
                                          const CsrGraph& graph,
                                          const BFSOptions& options) {
-  if (name == "CC")
-    return std::make_unique<ComponentsKernel>(graph, options, false);
-  if (name == "CC_RMW")
-    return std::make_unique<ComponentsKernel>(graph, options, true);
-  if (name == "KCORE")
-    return std::make_unique<KCoreKernel>(graph, options, false);
-  if (name == "KCORE_RMW")
-    return std::make_unique<KCoreKernel>(graph, options, true);
-  if (name == "MIS") return std::make_unique<MisKernel>(graph, options, false);
-  if (name == "MIS_RMW")
-    return std::make_unique<MisKernel>(graph, options, true);
-  if (name == "PRDELTA")
-    return std::make_unique<PageRankDeltaKernel>(graph, options, false);
-  if (name == "PRDELTA_RMW")
-    return std::make_unique<PageRankDeltaKernel>(graph, options, true);
-  throw std::invalid_argument("unknown kernel: " + name);
+  return make_on(name, graph, options,
+                 TeamHandle(options.num_threads, options.pin_threads));
+}
+
+std::unique_ptr<GraphKernel> make_kernel(const std::string& name,
+                                         const CsrGraph& graph,
+                                         const BFSOptions& options,
+                                         ThreadTeam& team) {
+  return make_on(name, graph, options, TeamHandle(team));
 }
 
 }  // namespace optibfs::kernels

@@ -10,6 +10,7 @@
 #include "core/bfs_options.hpp"
 #include "graph/csr_graph.hpp"
 #include "kernels/kernel.hpp"
+#include "runtime/thread_team.hpp"
 
 namespace optibfs::kernels {
 
@@ -28,5 +29,11 @@ bool is_kernel(const std::string& name);
 std::unique_ptr<GraphKernel> make_kernel(const std::string& name,
                                          const CsrGraph& graph,
                                          const BFSOptions& options);
+
+/// Same, on a borrowed `team` whose width is the kernel's.
+std::unique_ptr<GraphKernel> make_kernel(const std::string& name,
+                                         const CsrGraph& graph,
+                                         const BFSOptions& options,
+                                         ThreadTeam& team);
 
 }  // namespace optibfs::kernels

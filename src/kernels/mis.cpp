@@ -10,8 +10,11 @@ constexpr unsigned char kIn = 1;
 constexpr unsigned char kOut = 2;
 }  // namespace
 
-MisKernel::MisKernel(const CsrGraph& g, const BFSOptions& opts, bool use_rmw)
-    : g_(g), use_rmw_(use_rmw), sub_(g, opts, /*undirected_view=*/true) {
+MisKernel::MisKernel(const CsrGraph& g, const BFSOptions& opts, bool use_rmw,
+                     TeamHandle team)
+    : g_(g),
+      use_rmw_(use_rmw),
+      sub_(g, opts, /*undirected_view=*/true, std::move(team)) {
   // Fixed random priorities; ties break on id, so (prio, id) totally
   // orders the vertices. Self-loops are ignored throughout (a vertex
   // is never its own conflict) — the validator agrees.

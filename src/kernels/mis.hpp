@@ -38,7 +38,8 @@ namespace optibfs::kernels {
 
 class MisKernel final : public GraphKernel {
  public:
-  MisKernel(const CsrGraph& g, const BFSOptions& opts, bool use_rmw);
+  MisKernel(const CsrGraph& g, const BFSOptions& opts, bool use_rmw,
+            TeamHandle team);
 
   const char* name() const override { return use_rmw_ ? "MIS_RMW" : "MIS"; }
   void run(KernelResult& out) override;

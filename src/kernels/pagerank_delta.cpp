@@ -18,13 +18,14 @@ inline void atomic_add(double& slot, double x, std::uint64_t* c) {
 }  // namespace
 
 PageRankDeltaKernel::PageRankDeltaKernel(const CsrGraph& g,
-                                         const BFSOptions& opts, bool use_rmw)
+                                         const BFSOptions& opts, bool use_rmw,
+                                         TeamHandle team)
     : g_(g),
       use_rmw_(use_rmw),
       damping_(opts.pr_damping),
       epsilon_(opts.pr_epsilon),
       max_rounds_(opts.kernel_max_rounds),
-      sub_(g, opts, /*undirected_view=*/false) {}
+      sub_(g, opts, /*undirected_view=*/false, std::move(team)) {}
 
 void PageRankDeltaKernel::run(KernelResult& out) {
   const vid_t n = sub_.n();

@@ -35,7 +35,7 @@ namespace optibfs::kernels {
 class PageRankDeltaKernel final : public GraphKernel {
  public:
   PageRankDeltaKernel(const CsrGraph& g, const BFSOptions& opts,
-                      bool use_rmw);
+                      bool use_rmw, TeamHandle team);
 
   const char* name() const override {
     return use_rmw_ ? "PRDELTA_RMW" : "PRDELTA";

@@ -111,30 +111,6 @@ void ForkJoinPool::parallel_for_impl(
   group.wait();
 }
 
-void ForkJoinPool::run_team(int team_size,
-                            const std::function<void(int)>& body) {
-  if (team_size < 1 || team_size > num_workers_) {
-    throw std::invalid_argument(
-        "ForkJoinPool::run_team: team size must be in [1, num_workers]");
-  }
-  team_sessions_.fetch_add(1, std::memory_order_relaxed);
-  const auto region = [this, team_size, &body] {
-    TaskGroup group(*this);
-    for (int tid = 1; tid < team_size; ++tid) {
-      group.run([&body, tid] { body(tid); });
-    }
-    // The caller's activation doubles as member 0, so team_size workers
-    // (this one + team_size-1 thieves) cover the whole team.
-    body(0);
-    group.wait();
-  };
-  if (current_worker_id() >= 0) {
-    region();
-  } else {
-    run(region);
-  }
-}
-
 void ForkJoinPool::spawn_task(Task* task) {
   const int id = current_worker_id();
   if (id >= 0) {
@@ -148,10 +124,7 @@ void ForkJoinPool::spawn_task(Task* task) {
 }
 
 telemetry::CounterSnapshot ForkJoinPool::telemetry_counters() const {
-  telemetry::CounterSnapshot snap = counters_.aggregate();
-  snap[telemetry::kPoolTeamSessions] =
-      team_sessions_.load(std::memory_order_relaxed);
-  return snap;
+  return counters_.aggregate();
 }
 
 void ForkJoinPool::execute(int worker_id, Task* task) {
@@ -172,8 +145,9 @@ bool ForkJoinPool::try_run_one(int worker_id) {
     return true;
   }
   // Random victims first (the Cilk discipline), then one deterministic
-  // sweep so a false "no work anywhere" answer is impossible when the
-  // system is otherwise quiet — the idle protocol relies on that.
+  // sweep. steal() reports a CAS lost to another thief as empty, so
+  // under contention this can still answer "no work" while a task sits
+  // in a deque (see wake_if_idle for why that only idles a worker).
   for (int attempt = 0; attempt < 2 * num_workers_; ++attempt) {
     const auto victim = static_cast<std::size_t>(
         self.rng.next_below(static_cast<std::uint64_t>(num_workers_)));
@@ -214,7 +188,14 @@ void ForkJoinPool::wake_if_idle() {
   // ordered before this read of num_idle_, and the worker's idle
   // announcement before its re-scan below. Without both fences a
   // worker can miss the task and sleep while the publisher sees no
-  // idler and skips the wake — a lost wake-up that hangs team waves.
+  // idler and skips the wake.
+  //
+  // A worker may still sleep with a task queued: steal() reports a race
+  // lost to another thief as empty. Here that only idles the worker —
+  // a deque's owner is always running a task or helping in
+  // TaskGroup::wait, which pops its own deque first (PBFS waits only
+  // through TaskGroups). Regions whose members barrier against each
+  // other need them all running at once: ThreadTeam's job (DESIGN.md §2).
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (num_idle_.load(std::memory_order_acquire) > 0) {
     wake_epoch_.fetch_add(1, std::memory_order_acq_rel);
@@ -237,7 +218,8 @@ void ForkJoinPool::worker_loop(int id) {
     }
     // Idle protocol: announce idleness, re-check for work (a task may
     // have been published between the failed scan and the announcement),
-    // then sleep until the wake epoch moves.
+    // then sleep until the wake epoch moves (a re-scan that loses a
+    // steal race sleeps with work queued; see wake_if_idle).
     const std::uint64_t epoch = wake_epoch_.load(std::memory_order_acquire);
     num_idle_.fetch_add(1, std::memory_order_acq_rel);
     std::atomic_thread_fence(std::memory_order_seq_cst);  // see wake_if_idle

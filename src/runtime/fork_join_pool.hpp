@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -77,25 +76,11 @@ class ForkJoinPool {
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                     const std::function<void(std::int64_t, std::int64_t)>& fn);
 
-  /// Team-session mode: executes body(tid) for tid in [0, team_size)
-  /// with all `team_size` activations running concurrently, like
-  /// ThreadTeam::run but on this pool's persistent workers. This is what
-  /// lets a long-lived session (the BFS query service's MS-BFS waves)
-  /// reuse one worker set across many lockstep parallel regions instead
-  /// of paying thread create/join per query batch.
-  ///
-  /// Requirements: team_size <= num_workers() (each activation occupies
-  /// a worker for its whole duration — the bodies may barrier against
-  /// each other, so they cannot share a worker), no other work running
-  /// on the pool concurrently, and body must not throw. Callable from
-  /// inside or outside the pool; blocks until every activation returns.
-  void run_team(int team_size, const std::function<void(int)>& body);
-
-  /// Flight-recorder view of the scheduler: tasks executed per worker
-  /// plus team sessions run. Unlike the BFS engines, the pool has no
-  /// quiescent aggregation point (workers are always live), so its
-  /// counters use relaxed atomic bumps — the pool is infrastructure,
-  /// outside the paper's no-RMW traversal discipline.
+  /// Flight-recorder view of the scheduler: tasks executed per worker.
+  /// Unlike the BFS engines, the pool has no quiescent aggregation point
+  /// (workers are always live), so its counters use relaxed atomic
+  /// bumps — the pool is infrastructure, outside the paper's no-RMW
+  /// traversal discipline.
   telemetry::CounterSnapshot telemetry_counters() const;
 
  private:
@@ -136,7 +121,6 @@ class ForkJoinPool {
   std::atomic<std::uint64_t> wake_epoch_{0};
 
   telemetry::CounterRegistry counters_;  // relaxed-bump, see telemetry_counters()
-  std::atomic<std::uint64_t> team_sessions_{0};
 };
 
 }  // namespace optibfs

@@ -1,5 +1,9 @@
 #include "runtime/thread_team.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <stdexcept>
 #include <utility>
 
@@ -7,11 +11,24 @@
 
 namespace optibfs {
 
-ThreadTeam::ThreadTeam(int num_threads)
-    : ThreadTeam(num_threads, std::vector<int>{}) {}
+// After a region a worker yields this many times before it parks, so
+// back-to-back regions (a replica's next claim) skip the futex wake-up
+// of a parked, possibly halted CPU. A process confined to one CPU parks
+// at once: its caller needs that CPU.
+constexpr int kYieldsBeforePark = 1024;
+
+static bool has_spare_cpu() {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof set, &set) == 0) return CPU_COUNT(&set) > 1;
+#endif
+  return std::thread::hardware_concurrency() > 1;
+}
 
 ThreadTeam::ThreadTeam(int num_threads, std::vector<int> pin_cpus)
-    : num_threads_(num_threads), pin_cpus_(std::move(pin_cpus)) {
+    : num_threads_(num_threads),
+      pin_cpus_(std::move(pin_cpus)),
+      stay_awake_(has_spare_cpu()) {
   if (num_threads < 1) {
     throw std::invalid_argument("ThreadTeam: need at least one thread");
   }
@@ -22,22 +39,22 @@ ThreadTeam::ThreadTeam(int num_threads, std::vector<int> pin_cpus)
 }
 
 ThreadTeam::~ThreadTeam() {
-  {
-    std::lock_guard lock(mutex_);
-    shutting_down_ = true;
-  }
-  start_cv_.notify_all();
+  shutting_down_.store(true, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
 void ThreadTeam::run(const std::function<void(int)>& body) {
-  std::unique_lock lock(mutex_);
   body_ = &body;
-  remaining_ = num_threads_;
   first_error_ = nullptr;
-  ++epoch_;
-  start_cv_.notify_all();
-  done_cv_.wait(lock, [this] { return remaining_ == 0; });
+  remaining_.store(num_threads_, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  for (int left = remaining_.load(std::memory_order_acquire); left != 0;
+       left = remaining_.load(std::memory_order_acquire)) {
+    remaining_.wait(left, std::memory_order_acquire);
+  }
   body_ = nullptr;
   if (first_error_) std::rethrow_exception(first_error_);
 }
@@ -52,28 +69,25 @@ void ThreadTeam::worker_loop(int tid) {
           pin_cpus_[static_cast<std::size_t>(tid)])) {
     pinned_.fetch_add(1, std::memory_order_relaxed);
   }
-  std::uint64_t seen_epoch = 0;
+  // run() bumps epoch_ only once every member finished the last region.
+  std::uint32_t seen_epoch = 0;
   for (;;) {
-    const std::function<void(int)>* body = nullptr;
-    {
-      std::unique_lock lock(mutex_);
-      start_cv_.wait(lock, [&] {
-        return shutting_down_ || epoch_ != seen_epoch;
-      });
-      if (shutting_down_) return;
-      seen_epoch = epoch_;
-      body = body_;
+    for (int i = 0; stay_awake_ && i < kYieldsBeforePark &&
+                    epoch_.load(std::memory_order_relaxed) == seen_epoch;
+         ++i) {
+      std::this_thread::yield();
     }
-    std::exception_ptr error;
+    epoch_.wait(seen_epoch, std::memory_order_acquire);
+    seen_epoch = epoch_.load(std::memory_order_acquire);
+    if (shutting_down_.load(std::memory_order_relaxed)) return;
     try {
-      (*body)(tid);
+      (*body_)(tid);
     } catch (...) {
-      error = std::current_exception();
+      std::lock_guard lock(error_mutex_);
+      if (!first_error_) first_error_ = std::current_exception();
     }
-    {
-      std::lock_guard lock(mutex_);
-      if (error && !first_error_) first_error_ = error;
-      if (--remaining_ == 0) done_cv_.notify_all();
+    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      remaining_.notify_one();
     }
   }
 }

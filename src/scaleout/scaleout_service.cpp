@@ -71,11 +71,10 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Team options for one traversal family at its tuned prefetch
-/// distance.
+/// Options for one traversal family on a replica team at its tuned
+/// prefetch distance (the team sets the width).
 BFSOptions team_options(const ScaleoutConfig& config, int prefetch_distance) {
   BFSOptions opts = config.bfs;
-  opts.num_threads = config.threads_per_replica;
   opts.prefetch_distance = prefetch_distance;
   if (config.storage_budget_bytes != 0) {
     opts.storage_budget_bytes = config.storage_budget_bytes;
@@ -139,10 +138,10 @@ ScaleoutService::ScaleoutService(ScaleoutConfig config)
       front_slot_(config_.replicas + 1) {
   replicas_.reserve(static_cast<std::size_t>(config_.replicas));
   for (int r = 0; r < config_.replicas; ++r) {
-    auto replica = std::make_unique<Replica>();
-    replica->pool = std::make_unique<ForkJoinPool>(config_.threads_per_replica);
+    auto replica = std::make_unique<Replica>(config_);
+    // Workers start now: no query ever creates a thread.
     replica->engine = std::make_unique<IncrementalBfsEngine>(
-        engine_config(config_), *replica->pool);
+        engine_config(config_), replica->team.get());
     replicas_.push_back(std::move(replica));
   }
   mutator_engine_ =
@@ -208,7 +207,7 @@ std::shared_ptr<TenantContext> ScaleoutService::build_tenant(
   if (graph->num_vertices() > 0) graph->transpose();
   tenant->prefetch =
       tune_prefetch(*graph, config_.bfs, config_.single_source_engine,
-                    config_.threads_per_replica, /*autotune=*/true);
+                    config_.threads_per_replica);
   DynamicGraph::Config dyn_config;
   dyn_config.compact_threshold = config_.compact_threshold;
   dyn_config.reorder = tenant->reorder;
@@ -468,8 +467,7 @@ ServiceStats ScaleoutService::stats(TenantId tenant_id) const {
   stats.cache_evictions = cache_.evictions();
   stats.replicas = replicas();
   for (const auto& replica : replicas_) {
-    stats.pinned_threads +=
-        replica->pinned_threads.load(std::memory_order_relaxed);
+    stats.pinned_threads += replica->team.pinned_threads();
   }
   std::shared_ptr<const TenantContext> tenant;
   std::shared_ptr<const TenantEpoch> epoch;
@@ -671,15 +669,15 @@ ReplicaEngines& ScaleoutService::engines_for(int r, const Claim& claim) {
   const CsrGraph& graph = *claim.epoch->base;
   engines.single =
       make_bfs(config_.single_source_engine, graph,
-               team_options(config_, prefetch.single_source.distance));
+               team_options(config_, prefetch.single_source.distance),
+               rep.team.get());
   // Waves direction-optimize like the (default BFS_CL_H) batch-of-1
   // engine; set bfs.alpha = 0 to force top-down-only waves.
   BFSOptions wave = team_options(config_, prefetch.wave.distance);
   wave.direction_mode = DirectionMode::kHybrid;
-  engines.session = std::make_unique<MsBfsSession>(graph, wave, *rep.pool);
+  engines.session =
+      std::make_unique<MsBfsSession>(graph, wave, rep.team.get());
   engines.base = claim.epoch->base;
-  rep.pinned_threads.store(engines.single->pinned_threads(),
-                           std::memory_order_relaxed);
   return engines;
 }
 
@@ -784,7 +782,8 @@ void ScaleoutService::run_kernel_queries(int r, const Claim& claim,
         }
         return epoch.base;
       },
-      team_options(config_, claim.tenant->prefetch.kernel.distance));
+      team_options(config_, claim.tenant->prefetch.kernel.distance),
+      replicas_[static_cast<std::size_t>(r)]->team.get());
 
   std::uint64_t hits = 0;
   for (const QueuedQuery& pending : queries) {

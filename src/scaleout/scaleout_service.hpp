@@ -7,7 +7,7 @@
 //                        (token-bucket quota,          |  pull-based
 //                         bounded, deadline-stamped)   v  dispatch
 //                                        ready list <--> N replica threads
-//                                                   (engine team + waves)
+//                                                   (one ThreadTeam each)
 //   updates --submit_updates--> mutator thread: apply -> epoch publish
 //                                -> cache migration -> watch rollforward
 //
@@ -27,9 +27,10 @@
 // * Execution: a claim runs as one MS-BFS wave on the replica's team;
 //   a single distinct source runs on the configured batch-of-1 engine
 //   instead (BFS_ASYNC included); while the snapshot has a delta,
-//   sources go through the incremental engine's recompute. Engines
-//   belong to the replica and are rebuilt only when the base CSR they
-//   serve changes.
+//   sources go through the incremental engine's recompute. Every one of
+//   these, and the kernel-memo runs the replica performs, borrows the
+//   replica's one ThreadTeam. Engines belong to the replica and are
+//   rebuilt only when the base CSR they serve changes.
 // * Epochs: a replica pins its roster slot (relaxed plain store) with
 //   the epoch version it serves; the single mutator applies the next
 //   version *while* readers are pinned — copy-on-write snapshots keep
@@ -44,15 +45,15 @@
 //   re-notifying only when the watched distance actually changes.
 //
 // Lock census (the paper's discipline governs traversal hot paths; the
-// front-of-house exemptions are deliberate and bounded, like the
-// ForkJoinPool's): the admission mutex (tenant map, queues, ready list,
-// epoch swaps), the stats mutex (latency reservoir, batch histogram),
-// each tenant's watch-table mutex, the shared result cache's internal
-// mutex, and each epoch's kernel-memo mutex (blocking on it IS the
-// replica-sharing mechanism). Traversals — waves, single-source runs,
-// recomputes, repairs, kernel runs — use the engines' lock-free
-// optimistic machinery; counters use relaxed per-slot bumps because
-// stats() may aggregate while every writer is live.
+// front-of-house exemptions are deliberate and bounded): the admission
+// mutex (tenant map, queues, ready list, epoch swaps), the stats mutex
+// (latency reservoir, batch histogram), each tenant's watch-table
+// mutex, the shared result cache's internal mutex, and each epoch's
+// kernel-memo mutex (blocking on it IS the replica-sharing mechanism).
+// Traversals — waves, single-source runs, recomputes, repairs, kernel
+// runs — use the engines' lock-free optimistic machinery; counters use
+// relaxed per-slot bumps because stats() may aggregate while every
+// writer is live.
 #pragma once
 
 #include <array>
@@ -72,7 +73,7 @@
 #include "core/msbfs.hpp"
 #include "dynamic/incremental_bfs.hpp"
 #include "graph/csr_graph.hpp"
-#include "runtime/fork_join_pool.hpp"
+#include "runtime/thread_team.hpp"
 #include "scaleout/scaleout_stats.hpp"
 #include "scaleout/tenant.hpp"
 #include "service/result_cache.hpp"
@@ -87,7 +88,7 @@ struct ScaleoutConfig : ServingConfig {
   /// Replica engine teams (dispatch width), clamped to [1, 32].
   int replicas = 2;
   /// Worker threads per replica team (and for the mutator's repair
-  /// engine).
+  /// engine), pinned like the engines' when bfs.pin_threads.
   int threads_per_replica = 2;
   /// Deadline-aware load shedding (see header). Off answers every
   /// admitted query even when hopelessly late.
@@ -183,18 +184,20 @@ class ScaleoutService {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One engine team: a pull-dispatch thread, the ForkJoinPool its
-  /// waves and recomputes run on, and its reusable result buffers. All
-  /// members are replica-thread-only except pinned_threads (relaxed).
+  /// One engine team: a pull-dispatch thread, the ThreadTeam every
+  /// traversal it runs borrows, and its reusable result buffers. All
+  /// members are replica-thread-only except team.pinned_threads().
   struct Replica {
-    std::unique_ptr<ForkJoinPool> pool;
+    explicit Replica(const ScaleoutConfig& config)
+        : team(config.threads_per_replica, config.bfs.pin_threads) {}
+
+    TeamHandle team;  ///< created with the service, never re-seated
     std::unique_ptr<IncrementalBfsEngine> engine;  ///< delta-aware path
     BFSResult single_out;
     MsBfsResult wave_out;
     std::vector<level_t> scratch;
     std::vector<vid_t> sources;  ///< distinct sources of the claim
     double ewma_ms = -1.0;  ///< per-query execution estimate; <0 = none
-    std::atomic<int> pinned_threads{0};
     telemetry::ThreadTrace trace;  ///< "scaleout.replica<r>" track
     std::thread thread;
   };
@@ -250,8 +253,8 @@ class ScaleoutService {
 
   ScaleoutConfig config_;
   ResultCache cache_;  ///< shared across tenants and replicas
-  /// Declared before tenants_ so tenant contexts (whose MS-BFS
-  /// sessions borrow replica pools) are destroyed first.
+  /// Declared before tenants_ so tenant contexts (whose engines borrow
+  /// replica teams) are destroyed first.
   std::vector<std::unique_ptr<Replica>> replicas_;
 
   mutable std::mutex mutex_;  ///< admission: tenants/queues/ready/epochs

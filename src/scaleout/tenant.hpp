@@ -98,7 +98,7 @@ struct QueuedQuery {
 struct ReplicaEngines {
   std::shared_ptr<const CsrGraph> base;   ///< the CSR they traverse
   std::unique_ptr<ParallelBFS> single;    ///< batch-of-1 engine
-  std::unique_ptr<MsBfsSession> session;  ///< waves on the replica's pool
+  std::unique_ptr<MsBfsSession> session;  ///< waves on the replica's team
 };
 
 struct TenantContext {

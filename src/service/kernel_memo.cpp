@@ -10,7 +10,8 @@ SharedKernelMemo::Access SharedKernelMemo::ensure(bool need_components,
                                                   bool need_core,
                                                   bool need_rank,
                                                   const ViewFn& view,
-                                                  const BFSOptions& opts) {
+                                                  const BFSOptions& opts,
+                                                  ThreadTeam& team) {
   Access access;
   std::lock_guard lock(mutex_);
   access.components_hit = have_components_;
@@ -27,7 +28,7 @@ SharedKernelMemo::Access SharedKernelMemo::ensure(bool need_components,
   const std::shared_ptr<const CsrGraph> graph = view();
   if (need_components && !have_components_) {
     kernels::KernelResult out;
-    kernels::make_kernel("CC", *graph, opts)->run(out);
+    kernels::make_kernel("CC", *graph, opts, team)->run(out);
     components_ = std::move(out.labels);
     size_by_label_.assign(components_.size(), 0);
     for (const vid_t label : components_) ++size_by_label_[label];
@@ -36,14 +37,14 @@ SharedKernelMemo::Access SharedKernelMemo::ensure(bool need_components,
   }
   if (need_core && !have_core_) {
     kernels::KernelResult out;
-    kernels::make_kernel("KCORE", *graph, opts)->run(out);
+    kernels::make_kernel("KCORE", *graph, opts, team)->run(out);
     core_ = std::move(out.core);
     have_core_ = true;
     ++access.recomputes;
   }
   if (need_rank && !have_rank_) {
     kernels::KernelResult out;
-    kernels::make_kernel("PRDELTA", *graph, opts)->run(out);
+    kernels::make_kernel("PRDELTA", *graph, opts, team)->run(out);
     rank_sorted_.clear();
     rank_sorted_.reserve(out.rank.size());
     for (vid_t v = 0; v < static_cast<vid_t>(out.rank.size()); ++v) {

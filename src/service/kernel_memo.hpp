@@ -30,6 +30,7 @@
 #include "core/bfs_options.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/types.hpp"
+#include "runtime/thread_team.hpp"
 
 namespace optibfs {
 
@@ -52,10 +53,11 @@ class SharedKernelMemo {
 
   /// Fills every requested-and-missing flavor, blocking concurrent
   /// callers on the same memo (they share the one run instead of
-  /// recomputing). `opts` configures the kernel runs (num_threads,
-  /// prefetch_distance).
+  /// recomputing). The kernels run on the caller's `team` (a serving
+  /// replica's); `opts` configures them (prefetch_distance).
   Access ensure(bool need_components, bool need_core, bool need_rank,
-                const ViewFn& view, const BFSOptions& opts);
+                const ViewFn& view, const BFSOptions& opts,
+                ThreadTeam& team);
 
   // Accessors, valid for flavors a completed ensure() requested.
   const std::vector<vid_t>& components() const { return components_; }

@@ -39,17 +39,15 @@ int probe_best(const BFSOptions& base, TimeFn&& time_candidate) {
 
 PrefetchPlan tune_prefetch(const CsrGraph& graph, const BFSOptions& base,
                            const std::string& single_source_engine,
-                           int num_threads, bool autotune) {
+                           int num_threads) {
   PrefetchPlan plan;
   plan.single_source = {base.prefetch_distance, false};
   plan.wave = {base.prefetch_distance, false};
   plan.kernel = {base.prefetch_distance, false};
-  if (!autotune || graph.num_vertices() < kPrefetchProbeMinVertices) {
-    return plan;
-  }
+  if (graph.num_vertices() < kPrefetchProbeMinVertices) return plan;
 
-  BFSOptions probe_opts = base;
-  probe_opts.num_threads = num_threads;
+  TeamHandle probe_team(num_threads, base.pin_threads);
+  ThreadTeam& team = probe_team.get();
   constexpr int kReps = 2;  // best-of: absorbs one cold-cache outlier
 
   // Single-source family: the graph's actual batch-of-1 engine, one
@@ -57,8 +55,8 @@ PrefetchPlan tune_prefetch(const CsrGraph& graph, const BFSOptions& base,
   const vid_t source = sample_sources(graph, 1, base.seed).front();
   BFSResult scratch;
   plan.single_source.distance =
-      probe_best(probe_opts, [&](const BFSOptions& opts) {
-        const auto engine = make_bfs(single_source_engine, graph, opts);
+      probe_best(base, [&](const BFSOptions& opts) {
+        const auto engine = make_bfs(single_source_engine, graph, opts, team);
         double best = -1.0;
         for (int rep = 0; rep < kReps; ++rep) {
           Timer timer;
@@ -76,10 +74,10 @@ PrefetchPlan tune_prefetch(const CsrGraph& graph, const BFSOptions& base,
   const std::vector<vid_t> wave_sources =
       sample_sources(graph, 8, base.seed + 1);
   MsBfsResult wave_scratch;
-  plan.wave.distance = probe_best(probe_opts, [&](const BFSOptions& opts) {
+  plan.wave.distance = probe_best(base, [&](const BFSOptions& opts) {
     BFSOptions wave_opts = opts;
     wave_opts.direction_mode = DirectionMode::kHybrid;
-    MsBfsSession session(graph, wave_opts);
+    MsBfsSession session(graph, wave_opts, team);
     double best = -1.0;
     for (int rep = 0; rep < kReps; ++rep) {
       Timer timer;
@@ -95,8 +93,8 @@ PrefetchPlan tune_prefetch(const CsrGraph& graph, const BFSOptions& base,
   // most and the one whose label-chase is most level[]-like; k-core
   // and delta-PageRank share the substrate's lookahead).
   kernels::KernelResult kernel_scratch;
-  plan.kernel.distance = probe_best(probe_opts, [&](const BFSOptions& opts) {
-    const auto kernel = kernels::make_kernel("CC", graph, opts);
+  plan.kernel.distance = probe_best(base, [&](const BFSOptions& opts) {
+    const auto kernel = kernels::make_kernel("CC", graph, opts, team);
     double best = -1.0;
     for (int rep = 0; rep < kReps; ++rep) {
       Timer timer;

@@ -33,8 +33,8 @@ namespace optibfs {
 struct PrefetchChoice {
   int distance = 0;
   /// true: `distance` won a timed probe on this graph.
-  /// false: the probe was skipped (autotune off, or the graph is below
-  /// kPrefetchProbeMinVertices) and `distance` is the configured value.
+  /// false: the graph is below kPrefetchProbeMinVertices, so the probe
+  /// was skipped and `distance` is the configured value.
   bool probed = false;
 };
 
@@ -54,9 +54,10 @@ inline constexpr vid_t kPrefetchProbeMinVertices = 32768;
 /// traversal families on `graph` (best-of-2 runs per candidate, one
 /// deterministic sampled source set) and returns the winners. Cost: a
 /// few dozen traversals at registration, amortized over the graph's
-/// serving lifetime.
+/// serving lifetime. Every probe runs on one team of `num_threads`
+/// workers that the call owns (pinned when base.pin_threads).
 PrefetchPlan tune_prefetch(const CsrGraph& graph, const BFSOptions& base,
                            const std::string& single_source_engine,
-                           int num_threads, bool autotune);
+                           int num_threads);
 
 }  // namespace optibfs

@@ -75,7 +75,6 @@ namespace optibfs::telemetry {
   X(kWaveSources,              "wave_sources")                               \
   /* fork-join pool substrate */                                             \
   X(kPoolTasksExecuted,        "pool_tasks_executed")                        \
-  X(kPoolTeamSessions,         "pool_team_sessions")                         \
   /* dynamic graphs (DESIGN.md section 9) */                                 \
   X(kEdgesInserted,            "edges_inserted")                             \
   X(kEdgesDeleted,             "edges_deleted")                              \

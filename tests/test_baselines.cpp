@@ -1,10 +1,10 @@
 // Baseline-specific behaviour beyond the shared correctness matrix.
 #include <gtest/gtest.h>
 
-#include "baselines/direction_optimizing.hpp"
 #include "baselines/hong_bfs.hpp"
 #include "baselines/pbfs.hpp"
 #include "core/bfs_serial.hpp"
+#include "core/registry.hpp"
 #include "graph/generators.hpp"
 #include "harness/source_sampler.hpp"
 #include "harness/verifier.hpp"
@@ -51,9 +51,9 @@ TEST(HongHybrid, SwitchesModesOnWideGraphs) {
   const CsrGraph g = CsrGraph::from_edges(gen::star(5000));
   BFSOptions options;
   options.num_threads = 4;
-  HongBFS bfs(g, options, HongVariant::kHybrid);
+  const auto bfs = make_bfs("HONG_HYBRID", g, options);
   BFSResult r;
-  bfs.run(5, r);  // leaf source: hub at level 1, everything else level 2
+  bfs->run(5, r);  // leaf source: hub at level 1, everything else level 2
   EXPECT_TRUE(verify_against_serial(g, 5, r).ok);
   EXPECT_EQ(r.num_levels, 3);
 }
@@ -64,9 +64,9 @@ TEST(HongQueue, NoDuplicateExplorations) {
   const CsrGraph g = CsrGraph::from_edges(gen::rmat(11, 32, 4));
   BFSOptions options;
   options.num_threads = 8;
-  HongBFS bfs(g, options, HongVariant::kQueue);
+  const auto bfs = make_bfs("HONG_QUEUE", g, options);
   BFSResult r;
-  bfs.run(0, r);
+  bfs->run(0, r);
   EXPECT_EQ(r.duplicate_explorations(), 0u);
 }
 
@@ -78,11 +78,11 @@ TEST(DirectionOptimizing, UsesBottomUpOnLowDiameterGraphs) {
   const CsrGraph g = CsrGraph::from_edges(gen::rmat(12, 32, 6));
   BFSOptions options;
   options.num_threads = 4;
-  DirectionOptimizingBFS hybrid(g, options);
-  HongBFS topdown(g, options, HongVariant::kQueue);
+  const auto hybrid = make_bfs("DO_BFS", g, options);
+  const auto topdown = make_bfs("HONG_QUEUE", g, options);
   BFSResult rh, rt;
-  hybrid.run(0, rh);
-  topdown.run(0, rt);
+  hybrid->run(0, rh);
+  topdown->run(0, rt);
   ASSERT_TRUE(verify_against_serial(g, 0, rh).ok);
   EXPECT_LT(rh.edges_scanned, rt.edges_scanned)
       << "bottom-up short-circuiting should scan fewer edges";
@@ -92,9 +92,9 @@ TEST(DirectionOptimizing, HighDiameterStaysTopDown) {
   const CsrGraph g = CsrGraph::from_edges(gen::path(500));
   BFSOptions options;
   options.num_threads = 4;
-  DirectionOptimizingBFS bfs(g, options);
+  const auto bfs = make_bfs("DO_BFS", g, options);
   BFSResult r;
-  bfs.run(0, r);
+  bfs->run(0, r);
   EXPECT_TRUE(verify_against_serial(g, 0, r).ok);
 }
 

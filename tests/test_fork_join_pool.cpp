@@ -1,16 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <future>
-#include <numeric>
-#include <thread>
 #include <vector>
 
-#include "core/msbfs.hpp"
-#include "graph/generators.hpp"
 #include "runtime/fork_join_pool.hpp"
 #include "runtime/reducer.hpp"
 
@@ -109,47 +101,6 @@ struct SumMonoid {
   };
   static void reduce(View& into, View&& from) { into.value += from.value; }
 };
-
-// Lost wake-up regression. Publishing a task (a release store of a
-// deque's bottom) and then reading num_idle_, against a worker that
-// announces idleness and then re-scans the deques, is a store-load
-// pair that x86 may reorder: without seq_cst fences on both sides the
-// worker can sleep on a task the publisher never wakes it for, and a
-// two-worker team wave hangs with member 0 at the first barrier. The
-// waves run on their own thread so a hang fails within the deadline
-// instead of blocking the suite.
-TEST(ForkJoinPool, BackToBackTwoWorkerWavesNeverLoseAWakeup) {
-  constexpr int kWaves = 60000;
-  const CsrGraph graph = CsrGraph::from_edges(gen::grid2d(8, 8));
-  ForkJoinPool pool(2);
-  std::atomic<int> completed{0};
-  std::promise<void> done;
-  std::future<void> finished = done.get_future();
-  std::thread waves([&] {
-    BFSOptions options;
-    options.num_threads = 2;
-    MsBfsSession session(graph, options, pool);
-    MsBfsResult out;
-    const std::vector<vid_t> sources{0, 63};
-    for (int w = 1; w <= kWaves; ++w) {
-      session.run(sources, out);
-      completed.store(w, std::memory_order_relaxed);
-    }
-    done.set_value();
-  });
-  if (finished.wait_for(std::chrono::seconds(120)) !=
-      std::future_status::ready) {
-    // The wave thread is stuck inside the pool: it can be neither
-    // joined nor destroyed, so report and end the process.
-    ADD_FAILURE() << "two-worker waves hung after "
-                  << completed.load(std::memory_order_relaxed) << " of "
-                  << kWaves;
-    std::fflush(stdout);
-    std::_Exit(1);
-  }
-  waves.join();
-  EXPECT_EQ(completed.load(), kWaves);
-}
 
 TEST(Reducer, PerWorkerViewsSumCorrectly) {
   ForkJoinPool pool(4);

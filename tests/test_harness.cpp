@@ -163,5 +163,17 @@ TEST(Experiment, EnvHelpersFallBack) {
   unsetenv("OPTIBFS_VERIFY");
 }
 
+TEST(Experiment, EnvHelpersRejectGarbage) {
+  // A typo must not quietly become a different experiment.
+  setenv("OPTIBFS_SOURCES", "3x", 1);
+  EXPECT_EXIT(env_sources(8), ::testing::ExitedWithCode(2), "OPTIBFS_SOURCES");
+  setenv("OPTIBFS_SOURCES", "0", 1);
+  EXPECT_EXIT(env_sources(8), ::testing::ExitedWithCode(2), "OPTIBFS_SOURCES");
+  unsetenv("OPTIBFS_SOURCES");
+  setenv("OPTIBFS_THREADS", "four", 1);
+  EXPECT_EXIT(env_threads(4), ::testing::ExitedWithCode(2), "OPTIBFS_THREADS");
+  unsetenv("OPTIBFS_THREADS");
+}
+
 }  // namespace
 }  // namespace optibfs

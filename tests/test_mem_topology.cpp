@@ -367,24 +367,13 @@ TEST(PrefetchTuner, SmallGraphKeepsConfiguredDistance) {
   base.num_threads = 2;
   base.prefetch_distance = 7;
   const PrefetchPlan plan =
-      tune_prefetch(g, base, "BFS_CL_H", 2, /*autotune=*/true);
+      tune_prefetch(g, base, "BFS_CL_H", 2);
   EXPECT_FALSE(plan.single_source.probed);
   EXPECT_FALSE(plan.wave.probed);
   EXPECT_FALSE(plan.kernel.probed);
   EXPECT_EQ(plan.single_source.distance, 7);
   EXPECT_EQ(plan.wave.distance, 7);
   EXPECT_EQ(plan.kernel.distance, 7);
-}
-
-TEST(PrefetchTuner, AutotuneOffKeepsConfiguredDistance) {
-  const CsrGraph g = CsrGraph::from_edges(gen::erdos_renyi(512, 2048, 3));
-  BFSOptions base;
-  base.num_threads = 2;
-  base.prefetch_distance = 8;
-  const PrefetchPlan plan =
-      tune_prefetch(g, base, "BFS_CL_H", 2, /*autotune=*/false);
-  EXPECT_FALSE(plan.single_source.probed);
-  EXPECT_EQ(plan.single_source.distance, 8);
 }
 
 TEST(PrefetchTuner, ServiceStatsReportProvenanceAndTopology) {

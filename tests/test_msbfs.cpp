@@ -1,10 +1,22 @@
 // Multi-source BFS (batched traversal extension).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
+#include <memory>
+#include <thread>
+
 #include "core/bfs_serial.hpp"
 #include "core/msbfs.hpp"
+#include "dynamic/dynamic_graph.hpp"
+#include "dynamic/incremental_bfs.hpp"
 #include "graph/generators.hpp"
 #include "harness/source_sampler.hpp"
+#include "runtime/thread_team.hpp"
 
 namespace optibfs {
 namespace {
@@ -106,12 +118,13 @@ TEST(MsBfs, SessionReusesBuffersAcrossWaves) {
 }
 
 TEST(MsBfs, SessionOnBorrowedPool) {
-  // Several sessions sharing one persistent pool (the service layout):
-  // the pool outlives each session and is reused serially between them.
+  // Several sessions sharing one borrowed ThreadTeam (the serving
+  // replica's layout): the team outlives each session and is reused
+  // serially between them.
   const CsrGraph g = CsrGraph::from_edges(gen::grid2d(24, 24));
-  ForkJoinPool pool(4);
+  ThreadTeam team(4);
   for (const std::uint64_t seed : {1ULL, 2ULL}) {
-    MsBfsSession session(g, opts(4), pool);
+    MsBfsSession session(g, opts(4), team);
     EXPECT_EQ(session.team_width(), 4);
     const auto sources = sample_sources(g, 8, seed);
     expect_result_matches_serial(g, sources, session.run(sources));
@@ -119,11 +132,77 @@ TEST(MsBfs, SessionOnBorrowedPool) {
 }
 
 TEST(MsBfs, SessionClampsTeamToPoolWidth) {
+  // A borrowed team decides the session's width, whatever the options
+  // ask for.
   const CsrGraph g = CsrGraph::from_edges(gen::path(64));
-  ForkJoinPool pool(2);
-  MsBfsSession session(g, opts(/*threads=*/8), pool);
+  ThreadTeam team(2);
+  MsBfsSession session(g, opts(/*threads=*/8), team);
   EXPECT_EQ(session.team_width(), 2);
   expect_result_matches_serial(g, {0, 63}, session.run({0, 63}));
+}
+
+// Liveness regressions for team regions run back to back at four
+// threads, the serving default: every member of a region barriers
+// against the others, so a member that never starts hangs the region.
+// The loop runs on a helper thread; if it makes no progress for 120 s,
+// the test reports how far it got and ends the process (the helper can
+// be neither joined nor destroyed). A slow but moving loop (a loaded
+// machine) is not a stall. Kept out of sanitize_tests, whose slowdown
+// would stretch the run.
+void run_until_stalled(const char* what, int iterations,
+                       const std::function<void()>& step) {
+  std::atomic<int> completed{0};
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread loop([&] {
+    for (int i = 1; i <= iterations; ++i) {
+      step();
+      completed.store(i, std::memory_order_relaxed);
+    }
+    done.set_value();
+  });
+  int seen = 0;
+  auto last_progress = std::chrono::steady_clock::now();
+  while (finished.wait_for(std::chrono::seconds(1)) !=
+         std::future_status::ready) {
+    const int now = completed.load(std::memory_order_relaxed);
+    if (now != seen) {
+      seen = now;
+      last_progress = std::chrono::steady_clock::now();
+    } else if (std::chrono::steady_clock::now() - last_progress >
+               std::chrono::seconds(120)) {
+      ADD_FAILURE() << what << " stalled after " << now << " of "
+                    << iterations;
+      std::fflush(stdout);
+      std::_Exit(1);
+    }
+  }
+  loop.join();
+  EXPECT_EQ(completed.load(), iterations);
+}
+
+TEST(MsBfs, BackToBackFourThreadWavesNeverStall) {
+  const CsrGraph graph = CsrGraph::from_edges(gen::grid2d(8, 8));
+  MsBfsSession session(graph, opts(4));
+  MsBfsResult out;
+  const std::vector<vid_t> sources{0, 7, 56, 63};
+  run_until_stalled("4-thread MS-BFS waves", 30000,
+                     [&] { session.run(sources, out); });
+  expect_result_matches_serial(graph, sources, out);
+}
+
+TEST(MsBfs, BackToBackFourThreadRecomputesNeverStall) {
+  DynamicGraph dyn(std::make_shared<const CsrGraph>(
+      CsrGraph::from_edges(gen::grid2d(8, 8))));
+  const GraphSnapshot snap = dyn.snapshot();
+  IncrementalBfsEngine::Config config;
+  config.parallel_cutoff = 0;  // every recompute runs its team region
+  config.bfs.num_threads = 4;
+  IncrementalBfsEngine engine(config);
+  std::vector<level_t> level;
+  run_until_stalled("4-thread incremental recomputes", 30000,
+                     [&] { engine.recompute(snap, 0, level); });
+  EXPECT_EQ(level, bfs_serial(*dyn.base_csr(), 0).level);
 }
 
 TEST(MsBfs, SessionHonorsOptionPlumbing) {

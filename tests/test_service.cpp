@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <thread>
@@ -311,6 +312,42 @@ TEST(BfsService, StatsReportResolvedEngineAndPrefetch) {
   ASSERT_TRUE(result.ok());
   ASSERT_NE(result.levels, nullptr);
   EXPECT_EQ(*result.levels, reference.level);
+}
+
+TEST(BfsService, ThreadCountIsFixedFromConstruction) {
+  // The replica's one team is the service's only worker set: it starts
+  // with the service, and no registration step, wave, kernel query,
+  // update or delta-path query leaves a thread behind.
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) GTEST_SKIP() << "no /proc";
+  const auto threads_now = [&] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator{});
+  };
+  std::thread([] {}).join();  // a sanitizer starts its helper thread here
+  const auto before = threads_now();
+  BfsService service(small_config(3));
+  const auto expected = before + 3 + 2;  // workers, replica, mutator
+  EXPECT_EQ(threads_now(), expected);
+  const auto graph = make_graph(gen::rmat(10, 8, 3));
+  service.register_graph(graph);
+  EXPECT_EQ(threads_now(), expected);
+  std::vector<std::future<QueryResult>> wave;
+  for (vid_t s = 0; s < 16; ++s) {
+    Query q;
+    q.source = s;
+    wave.push_back(service.submit(q));
+  }
+  for (auto& f : wave) ASSERT_TRUE(f.get().ok());
+  EXPECT_EQ(threads_now(), expected);
+  ASSERT_TRUE(service.components_of(1).ok());
+  EXPECT_EQ(threads_now(), expected);
+  UpdateBatch batch;
+  for (vid_t v = 0; v < 8; ++v) batch.insert(v, v + 100);
+  service.apply_updates(batch);
+  ASSERT_TRUE(service.distance(20).ok());
+  ASSERT_TRUE(service.core_number(2).ok());
+  EXPECT_EQ(threads_now(), expected);
 }
 
 TEST(ResultCache, LruEvictionHonorsByteBudget) {

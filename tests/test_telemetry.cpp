@@ -21,6 +21,7 @@
 #include "core/registry.hpp"
 #include "graph/generators.hpp"
 #include "runtime/fork_join_pool.hpp"
+#include "runtime/thread_team.hpp"
 #include "service/bfs_service.hpp"
 #include "telemetry/counters.hpp"
 #include "telemetry/recorder.hpp"
@@ -173,13 +174,14 @@ TEST(Counters, SnapshotJsonParsesBack) {
 }
 
 TEST(Counters, AggregationSumsSlabsUnderOversubscribedPool) {
-  // 16 team members time-slicing far fewer cores: every slab is written
-  // by exactly one activation, the join provides the happens-before,
-  // and aggregate() must see every plain-stored increment.
+  // A 16-thread ThreadTeam time-slicing far fewer cores: every slab is
+  // written by exactly one member, the join provides the
+  // happens-before, and aggregate() must see every plain-stored
+  // increment.
   constexpr int kTeam = 16;
   telemetry::CounterRegistry registry(kTeam);
-  ForkJoinPool pool(kTeam);
-  pool.run_team(kTeam, [&](int tid) {
+  ThreadTeam team(kTeam);
+  team.run([&](int tid) {
     std::uint64_t* ctr = registry.slab(tid);
     for (int i = 0; i <= tid; ++i) ++ctr[kVerticesExplored];
     ctr[kEdgesScanned] += 1000;
@@ -196,7 +198,6 @@ TEST(Counters, AggregationSumsSlabsUnderOversubscribedPool) {
 
 TEST(Counters, PoolExportsSchedulerCounters) {
   ForkJoinPool pool(4);
-  pool.run_team(4, [](int) {});
   std::atomic<int> ran{0};
   pool.parallel_for(0, 1000, 10,
                     [&](std::int64_t lo, std::int64_t hi) {
@@ -204,7 +205,6 @@ TEST(Counters, PoolExportsSchedulerCounters) {
                     });
   EXPECT_EQ(ran.load(), 1000);
   const telemetry::CounterSnapshot snap = pool.telemetry_counters();
-  EXPECT_GE(snap[kPoolTeamSessions], 1u);
   EXPECT_GT(snap[kPoolTasksExecuted], 0u);
 }
 

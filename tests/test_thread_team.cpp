@@ -67,6 +67,22 @@ TEST(ThreadTeam, RejectsNonPositiveCount) {
   EXPECT_THROW(ThreadTeam(-3), std::invalid_argument);
 }
 
+TEST(TeamHandle, OwnsLazilyOrBorrowsTheTeamWidth) {
+  TeamHandle owned(3, /*pin=*/false);
+  EXPECT_EQ(owned.width(), 3);
+  EXPECT_EQ(owned.pinned_threads(), 0);  // no team until first use
+  std::atomic<int> ran{0};
+  owned.run([&](int) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 3);
+  EXPECT_EQ(owned.get().num_threads(), 3);
+  EXPECT_EQ(TeamHandle(0, false).width(), 1);
+
+  ThreadTeam team(2);
+  TeamHandle borrowed(team);
+  EXPECT_EQ(borrowed.width(), 2);
+  EXPECT_EQ(&borrowed.get(), &team);
+}
+
 TEST(ThreadTeam, DistinctOsThreads) {
   ThreadTeam team(4);
   std::mutex mutex;
