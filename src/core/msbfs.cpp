@@ -90,7 +90,8 @@ void MsBfsSession::run(const std::vector<vid_t>& sources, MsBfsResult& out) {
   const std::size_t cells = sources.size() * static_cast<std::size_t>(n);
   bool grew = out.distance.capacity() < cells ||
               out.vertices_explored.capacity() < sources.size();
-  const std::size_t scratch = static_cast<std::size_t>(p_) * n;
+  const std::size_t scratch =
+      std::min(static_cast<std::size_t>(p_), sources.size()) * n;
   if (graph_.is_reordered() && remap_scratch_.size() < scratch) {
     remap_scratch_.resize(scratch);
     grew = true;
@@ -313,7 +314,7 @@ void MsBfsSession::run_wave(int tid, MsBfsResult& out) {
   // (bfs_result.hpp convention). The team join publishes both.
   const auto [lo, hi] = owned(tid);
   for (vid_t v = lo; v < hi; ++v) seen_[v].store(0, std::memory_order_relaxed);
-  if (!graph_.is_reordered()) return;
+  if (!graph_.is_reordered() || tid >= out.num_sources) return;
   const vid_t* inv = graph_.inv_perm().data();
   level_t* scratch = remap_scratch_.data() + static_cast<std::size_t>(tid) * n;
   for (int s = tid; s < out.num_sources; s += p_) {

@@ -169,8 +169,9 @@ class MsBfsSession {
   std::int64_t frontier_size_ = 0;
   std::uint64_t bottom_up_levels_count_ = 0;
 
-  /// Reordered graphs: one scratch row per member for the end-of-wave
-  /// distance scatter, reused across waves (zero steady-state alloc).
+  /// Reordered graphs: one scratch row per scattering member (min(p,
+  /// sources) rows) for the end-of-wave distance scatter, reused across
+  /// waves (zero steady-state alloc).
   std::vector<level_t> remap_scratch_;
   ArenaStats arena_;
 

@@ -1,7 +1,6 @@
 #include "core/registry.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "baselines/direction_optimizing.hpp"
 #include "baselines/hong_bfs.hpp"
@@ -36,7 +35,7 @@ class SerialBFSEngine final : public ParallelBFS {
 std::unique_ptr<ParallelBFS> make_engine(std::string_view algorithm,
                                          const CsrGraph& graph,
                                          const BFSOptions& options,
-                                         TeamHandle team) {
+                                         ThreadTeam* borrowed) {
   // `_H` suffix: the same optimistic engine with direction_mode forced
   // to kHybrid (the engine base appends the suffix to its name, so the
   // name round-trips). Restricted to the engine-base family — the
@@ -50,37 +49,42 @@ std::unique_ptr<ParallelBFS> make_engine(std::string_view algorithm,
       if (base == eligible) {
         BFSOptions hybrid = options;
         hybrid.direction_mode = DirectionMode::kHybrid;
-        return make_engine(base, graph, hybrid, std::move(team));
+        return make_engine(base, graph, hybrid, borrowed);
       }
     }
   }
+  // A team-run engine's team: the borrowed one, or its own (sbfs runs
+  // on the caller and PBFS on its pool, so neither starts a team).
+  const auto team = [&] {
+    return borrowed != nullptr
+               ? TeamHandle(*borrowed)
+               : TeamHandle(options.num_threads, options.pin_threads);
+  };
   if (algorithm == "sbfs") {
     return std::make_unique<SerialBFSEngine>(graph, options);
   }
   if (algorithm == "BFS_C") {
-    return std::make_unique<CentralizedBFS>(graph, options, std::move(team));
+    return std::make_unique<CentralizedBFS>(graph, options, team());
   }
   if (algorithm == "BFS_CL") {
-    return std::make_unique<CentralizedLockfreeBFS>(graph, options,
-                                                    std::move(team));
+    return std::make_unique<CentralizedLockfreeBFS>(graph, options, team());
   }
   if (algorithm == "BFS_EBL") {
-    return std::make_unique<CentralizedLockfreeBFS>(
-        graph, options, std::move(team), /*edge_balanced=*/true);
+    return std::make_unique<CentralizedLockfreeBFS>(graph, options, team(),
+                                                    /*edge_balanced=*/true);
   }
   if (algorithm == "BFS_DL") {
-    return std::make_unique<DecentralizedLockfreeBFS>(graph, options,
-                                                      std::move(team));
+    return std::make_unique<DecentralizedLockfreeBFS>(graph, options, team());
   }
   if (algorithm == "BFS_W" || algorithm == "BFS_WL" || algorithm == "BFS_WS" ||
       algorithm == "BFS_WSL") {
     return std::make_unique<WorkStealingBFS>(
-        graph, options, std::move(team),
+        graph, options, team(),
         /*use_locks=*/algorithm == "BFS_W" || algorithm == "BFS_WS",
         /*scale_free_mode=*/algorithm == "BFS_WS" || algorithm == "BFS_WSL");
   }
   if (algorithm == "BFS_ASYNC") {
-    return std::make_unique<AsyncBFS>(graph, options, std::move(team));
+    return std::make_unique<AsyncBFS>(graph, options, team());
   }
   if (algorithm == "PBFS") {
     return std::make_unique<PBFS>(graph, options);
@@ -89,13 +93,11 @@ std::unique_ptr<ParallelBFS> make_engine(std::string_view algorithm,
        {HongVariant::kQueue, HongVariant::kRead, HongVariant::kHybrid,
         HongVariant::kHybridBitmap}) {
     if (algorithm == hong_variant_name(variant)) {
-      return std::make_unique<HongBFS>(graph, options, variant,
-                                       std::move(team));
+      return std::make_unique<HongBFS>(graph, options, variant, team());
     }
   }
   if (algorithm == "DO_BFS") {
-    return std::make_unique<DirectionOptimizingBFS>(graph, options,
-                                                    std::move(team));
+    return std::make_unique<DirectionOptimizingBFS>(graph, options, team());
   }
   throw std::invalid_argument("make_bfs: unknown algorithm '" +
                               std::string(algorithm) + "'");
@@ -106,8 +108,7 @@ std::unique_ptr<ParallelBFS> make_engine(std::string_view algorithm,
 std::unique_ptr<ParallelBFS> make_bfs(std::string_view algorithm,
                                       const CsrGraph& graph,
                                       const BFSOptions& options) {
-  return make_engine(algorithm, graph, options,
-                     TeamHandle(options.num_threads, options.pin_threads));
+  return make_engine(algorithm, graph, options, nullptr);
 }
 
 std::unique_ptr<ParallelBFS> make_bfs(std::string_view algorithm,
@@ -116,7 +117,7 @@ std::unique_ptr<ParallelBFS> make_bfs(std::string_view algorithm,
                                       ThreadTeam& team) {
   BFSOptions on_team = options;
   on_team.num_threads = team.num_threads();
-  return make_engine(algorithm, graph, on_team, TeamHandle(team));
+  return make_engine(algorithm, graph, on_team, &team);
 }
 
 std::vector<std::string> all_algorithms() {

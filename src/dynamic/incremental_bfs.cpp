@@ -30,8 +30,10 @@ inline bool improvable(const level_t* level, vid_t x, level_t bound) {
 }  // namespace
 
 IncrementalBfsEngine::IncrementalBfsEngine(Config config)
-    : IncrementalBfsEngine(
-          config, TeamHandle(config.bfs.num_threads, config.bfs.pin_threads)) {}
+    : IncrementalBfsEngine(config,
+                           TeamHandle(config.bfs.num_threads,
+                                      config.bfs.pin_threads,
+                                      /*deferred=*/true)) {}
 
 IncrementalBfsEngine::IncrementalBfsEngine(Config config, ThreadTeam& team)
     : IncrementalBfsEngine(config, TeamHandle(team)) {}

@@ -86,7 +86,8 @@ class IncrementalBfsEngine {
     BFSOptions bfs;
   };
 
-  /// Owns a team of bfs.num_threads workers, started lazily.
+  /// Owns a team of bfs.num_threads workers, started by the first
+  /// parallel wave loop (a mutator that never needs one starts none).
   IncrementalBfsEngine() : IncrementalBfsEngine(Config{}) {}
   explicit IncrementalBfsEngine(Config config);
   /// Runs its parallel wave loops on `team` (borrowed; must outlive the

@@ -1,7 +1,6 @@
 #include "kernels/kernel_registry.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "kernels/components.hpp"
 #include "kernels/kcore.hpp"
@@ -35,19 +34,24 @@ namespace {
 std::unique_ptr<GraphKernel> make_on(const std::string& name,
                                      const CsrGraph& graph,
                                      const BFSOptions& options,
-                                     TeamHandle team) {
+                                     ThreadTeam* borrowed) {
   const bool rmw = name.ends_with("_RMW");
   const std::string base = rmw ? name.substr(0, name.size() - 4) : name;
+  // The kernel's team: the borrowed one, or its own, started only once
+  // the name is known.
+  const auto team = [&] {
+    return borrowed != nullptr
+               ? TeamHandle(*borrowed)
+               : TeamHandle(options.num_threads, options.pin_threads);
+  };
   if (base == "CC")
-    return std::make_unique<ComponentsKernel>(graph, options, rmw,
-                                              std::move(team));
+    return std::make_unique<ComponentsKernel>(graph, options, rmw, team());
   if (base == "KCORE")
-    return std::make_unique<KCoreKernel>(graph, options, rmw, std::move(team));
+    return std::make_unique<KCoreKernel>(graph, options, rmw, team());
   if (base == "MIS")
-    return std::make_unique<MisKernel>(graph, options, rmw, std::move(team));
+    return std::make_unique<MisKernel>(graph, options, rmw, team());
   if (base == "PRDELTA")
-    return std::make_unique<PageRankDeltaKernel>(graph, options, rmw,
-                                                 std::move(team));
+    return std::make_unique<PageRankDeltaKernel>(graph, options, rmw, team());
   throw std::invalid_argument("unknown kernel: " + name);
 }
 
@@ -56,15 +60,14 @@ std::unique_ptr<GraphKernel> make_on(const std::string& name,
 std::unique_ptr<GraphKernel> make_kernel(const std::string& name,
                                          const CsrGraph& graph,
                                          const BFSOptions& options) {
-  return make_on(name, graph, options,
-                 TeamHandle(options.num_threads, options.pin_threads));
+  return make_on(name, graph, options, nullptr);
 }
 
 std::unique_ptr<GraphKernel> make_kernel(const std::string& name,
                                          const CsrGraph& graph,
                                          const BFSOptions& options,
                                          ThreadTeam& team) {
-  return make_on(name, graph, options, TeamHandle(team));
+  return make_on(name, graph, options, &team);
 }
 
 }  // namespace optibfs::kernels

@@ -1,9 +1,5 @@
 #include "runtime/thread_team.hpp"
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
 #include <stdexcept>
 #include <utility>
 
@@ -13,22 +9,11 @@ namespace optibfs {
 
 // After a region a worker yields this many times before it parks, so
 // back-to-back regions (a replica's next claim) skip the futex wake-up
-// of a parked, possibly halted CPU. A process confined to one CPU parks
-// at once: its caller needs that CPU.
+// of a parked, possibly halted CPU.
 constexpr int kYieldsBeforePark = 1024;
 
-static bool has_spare_cpu() {
-#if defined(__linux__)
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof set, &set) == 0) return CPU_COUNT(&set) > 1;
-#endif
-  return std::thread::hardware_concurrency() > 1;
-}
-
 ThreadTeam::ThreadTeam(int num_threads, std::vector<int> pin_cpus)
-    : num_threads_(num_threads),
-      pin_cpus_(std::move(pin_cpus)),
-      stay_awake_(has_spare_cpu()) {
+    : num_threads_(num_threads), pin_cpus_(std::move(pin_cpus)) {
   if (num_threads < 1) {
     throw std::invalid_argument("ThreadTeam: need at least one thread");
   }
@@ -72,7 +57,7 @@ void ThreadTeam::worker_loop(int tid) {
   // run() bumps epoch_ only once every member finished the last region.
   std::uint32_t seen_epoch = 0;
   for (;;) {
-    for (int i = 0; stay_awake_ && i < kYieldsBeforePark &&
+    for (int i = 0; i < kYieldsBeforePark &&
                     epoch_.load(std::memory_order_relaxed) == seen_epoch;
          ++i) {
       std::this_thread::yield();

@@ -63,7 +63,6 @@ class ThreadTeam {
 
   const int num_threads_;
   const std::vector<int> pin_cpus_;
-  const bool stay_awake_;  ///< yield before parking (thread_team.cpp)
   std::atomic<int> pinned_{0};
   std::vector<std::thread> threads_;
 
@@ -83,11 +82,14 @@ class ThreadTeam {
 /// the ThreadTeam itself.
 class TeamHandle {
  public:
-  /// Owns max(1, num_threads) workers, created by the first get() (a
-  /// holder that never runs in parallel starts no thread); `pin` pins
-  /// them with the physical topology's cpu map (BFSOptions::pin_threads).
-  TeamHandle(int num_threads, bool pin)
-      : width_(num_threads < 1 ? 1 : num_threads), pin_(pin) {}
+  /// Owns max(1, num_threads) workers, started here or, when
+  /// `deferred`, by the first get() (a holder that may never run in
+  /// parallel then starts no thread); `pin` pins them with the physical
+  /// topology's cpu map (BFSOptions::pin_threads).
+  TeamHandle(int num_threads, bool pin, bool deferred = false)
+      : width_(num_threads < 1 ? 1 : num_threads), pin_(pin) {
+    if (!deferred) get();
+  }
   /// Borrows `team` (must outlive the handle) and takes its width.
   explicit TeamHandle(ThreadTeam& team)
       : width_(team.num_threads()), team_(&team) {}

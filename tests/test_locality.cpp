@@ -165,14 +165,19 @@ TEST(Reorder, MsBfsRowsMatchSerialOnOriginalGraph) {
   const CsrGraph r = g.reorder(ReorderPolicy::kHubCluster);
   BFSOptions options;
   options.num_threads = 4;
-  const std::vector<vid_t> sources{0, moved_source(r), 5, 17};
   MsBfsSession session(r, options);
-  const MsBfsResult wave = session.run(sources);
-  for (std::size_t s = 0; s < sources.size(); ++s) {
-    const BFSResult oracle = bfs_serial(g, sources[s]);
-    for (vid_t v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(wave.distance_of(static_cast<int>(s), v), oracle.level[v])
-          << "source " << sources[s] << " vertex " << v;
+  // A wave narrower than the team first (members 2 and 3 scatter no
+  // row), then a full-width one that grows the remap scratch.
+  for (const std::vector<vid_t>& sources :
+       {std::vector<vid_t>{moved_source(r), 5},
+        std::vector<vid_t>{0, moved_source(r), 5, 17}}) {
+    const MsBfsResult wave = session.run(sources);
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      const BFSResult oracle = bfs_serial(g, sources[s]);
+      for (vid_t v = 0; v < g.num_vertices(); ++v) {
+        ASSERT_EQ(wave.distance_of(static_cast<int>(s), v), oracle.level[v])
+            << "source " << sources[s] << " vertex " << v;
+      }
     }
   }
 }

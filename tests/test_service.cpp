@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <future>
 #include <memory>
 #include <thread>
@@ -13,6 +12,7 @@
 #include "harness/source_sampler.hpp"
 #include "service/bfs_service.hpp"
 #include "service/result_cache.hpp"
+#include "test_util.hpp"
 
 namespace optibfs {
 namespace {
@@ -318,14 +318,10 @@ TEST(BfsService, ThreadCountIsFixedFromConstruction) {
   // The replica's one team is the service's only worker set: it starts
   // with the service, and no registration step, wave, kernel query,
   // update or delta-path query leaves a thread behind.
-  const std::filesystem::path tasks = "/proc/self/task";
-  if (!std::filesystem::exists(tasks)) GTEST_SKIP() << "no /proc";
-  const auto threads_now = [&] {
-    return std::distance(std::filesystem::directory_iterator(tasks),
-                         std::filesystem::directory_iterator{});
-  };
+  const auto threads_now = [] { return test::settled_thread_count(); };
   std::thread([] {}).join();  // a sanitizer starts its helper thread here
   const auto before = threads_now();
+  if (before < 0) GTEST_SKIP() << "no /proc";
   BfsService service(small_config(3));
   const auto expected = before + 3 + 2;  // workers, replica, mutator
   EXPECT_EQ(threads_now(), expected);

@@ -5,9 +5,11 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "runtime/thread_team.hpp"
+#include "test_util.hpp"
 
 namespace optibfs {
 namespace {
@@ -67,13 +69,23 @@ TEST(ThreadTeam, RejectsNonPositiveCount) {
   EXPECT_THROW(ThreadTeam(-3), std::invalid_argument);
 }
 
-TEST(TeamHandle, OwnsLazilyOrBorrowsTheTeamWidth) {
+TEST(TeamHandle, OwnsNowOrDeferredOrBorrowsTheTeamWidth) {
+  std::thread([] {}).join();  // a sanitizer starts its helper thread here
+  const long before = test::settled_thread_count();
   TeamHandle owned(3, /*pin=*/false);
+  TeamHandle deferred(2, /*pin=*/false, /*deferred=*/true);
   EXPECT_EQ(owned.width(), 3);
-  EXPECT_EQ(owned.pinned_threads(), 0);  // no team until first use
+  EXPECT_EQ(deferred.width(), 2);
+  if (before >= 0) {
+    EXPECT_EQ(test::settled_thread_count(), before + 3);
+  }
   std::atomic<int> ran{0};
   owned.run([&](int) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 3);
+  deferred.run([&](int) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 5);
+  if (before >= 0) {
+    EXPECT_EQ(test::settled_thread_count(), before + 5);
+  }
   EXPECT_EQ(owned.get().num_threads(), 3);
   EXPECT_EQ(TeamHandle(0, false).width(), 1);
 

@@ -1,13 +1,38 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
 
 namespace optibfs::test {
+
+/// Entries of /proc/self/task, or -1 without /proc. A joined thread
+/// leaves that list a moment after join() returns, so the count is
+/// taken once two reads 1 ms apart agree (at most 100 tries).
+inline long settled_thread_count() {
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) return -1;
+  const auto read = [&] {
+    return static_cast<long>(
+        std::distance(std::filesystem::directory_iterator(tasks),
+                      std::filesystem::directory_iterator{}));
+  };
+  long count = read();
+  for (int tries = 0; tries < 100; ++tries) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const long again = read();
+    if (again == count) break;
+    count = again;
+  }
+  return count;
+}
 
 struct NamedGraph {
   std::string name;
