@@ -11,7 +11,18 @@
 // mesh) and the summary counts how many kernels the optimistic
 // discipline wins at the configured thread count.
 //
-// `--smoke` runs one tiny verified cell per kernel pair (ctest wiring).
+// A second section measures carrying answers across graph versions
+// (DESIGN.md §11.5): for CC, KCORE and PRDELTA — the kernels the
+// service memoizes; MIS has no carry rule — on each class, 32
+// ledger-shaped update batches (8 random inserts, rolling deletes of
+// the bench's own inserts once 64 are live), each answered by carrying
+// the previous version's answer and, for comparison, from scratch on
+// the flattened CSR ∪ delta (the flatten itself is not timed). Every
+// carried answer is checked against the serial references; a mismatch
+// exits non-zero.
+//
+// `--smoke` runs one tiny verified cell per kernel pair and the carry
+// section on tiny graphs (ctest wiring).
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -21,10 +32,14 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "dynamic/dynamic_graph.hpp"
 #include "graph/generators.hpp"
 #include "harness/timing.hpp"
+#include "kernels/carry.hpp"
 #include "kernels/kernel_registry.hpp"
+#include "kernels/pagerank_delta.hpp"
 #include "kernels/reference.hpp"
+#include "runtime/rng.hpp"
 
 namespace {
 
@@ -86,6 +101,160 @@ ExperimentCell measure_kernel(const Workload& w, const std::string& name,
     }
   }
   return cell;
+}
+
+double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs.empty() ? 0.0 : xs[xs.size() / 2];
+}
+
+/// One kernel's carry-vs-scratch figures on one graph class.
+struct CarryRow {
+  std::string kernel, graph;
+  double scratch_ms = 0.0, carried_ms = 0.0;        // medians per batch
+  double scratch_rounds = 0.0, carried_rounds = 0.0;
+  int fallbacks = 0;  // carries past their bound (then recomputed)
+};
+
+[[noreturn]] void carry_mismatch(const std::string& kernel,
+                                 const std::string& graph, int batch) {
+  std::cerr << "carried " << kernel << " disagrees with the reference on "
+            << graph << " after batch " << batch << "\n";
+  std::exit(1);
+}
+
+/// 32 ledger-shaped batches on `w`: every version's CC, KCORE and
+/// PRDELTA answer carried from the previous version, and recomputed
+/// from scratch for comparison. Exits on a wrong carried answer.
+std::vector<CarryRow> measure_carry(const Workload& w, int threads) {
+  constexpr int kBatches = 32;
+  constexpr int kInserts = 8;
+  constexpr std::size_t kLive = 64;
+  BFSOptions options;
+  options.num_threads = threads;
+  options.seed = kSeed;
+  // Non-owning: the workload outlives the dynamic graph built over it.
+  const std::shared_ptr<const CsrGraph> base(std::shared_ptr<void>(), &w.graph);
+  base->transpose();
+  DynamicGraph dyn(base);
+  const vid_t n = base->num_vertices();
+
+  GraphSnapshot held = dyn.snapshot();
+  kernels::KernelResult cc, core, pr;
+  kernels::make_kernel("CC", *base, options)->run(cc);
+  kernels::make_kernel("KCORE", *base, options)->run(core);
+  kernels::make_kernel("PRDELTA", *base, options)->run(pr);
+  std::vector<vid_t> sizes(n, 0);
+  for (const vid_t label : cc.labels) ++sizes[label];
+
+  const char* const names[3] = {"CC", "KCORE", "PRDELTA"};
+  std::vector<double> scratch_ms[3], carried_ms[3], scratch_rounds[3],
+      carried_rounds[3];
+  int fallbacks[3] = {0, 0, 0};
+  Xoshiro256 rng(kSeed ^ n);
+  std::vector<std::pair<vid_t, vid_t>> live;
+  for (int b = 0; b < kBatches; ++b) {
+    UpdateBatch batch;
+    for (int k = 0; k < kInserts; ++k) {
+      const auto u = static_cast<vid_t>(rng.next_below(n));
+      const auto v = static_cast<vid_t>(rng.next_below(n));
+      if (u == v) continue;
+      batch.insert(u, v);
+      live.emplace_back(u, v);
+    }
+    while (live.size() > kLive) {
+      batch.erase(live.front().first, live.front().second);
+      live.erase(live.begin());
+    }
+    const BatchSummary summary = dyn.apply(batch);
+    std::vector<std::pair<vid_t, vid_t>> touched = summary.inserts;
+    touched.insert(touched.end(), summary.deletes.begin(), summary.deletes.end());
+    const GraphSnapshot now = dyn.snapshot();
+    const CsrGraph flat = CsrGraph::from_edges(now.to_edge_list());
+
+    for (int k = 0; k < 3; ++k) {
+      kernels::KernelResult scratch;
+      Timer timer;
+      kernels::make_kernel(names[k], flat, options)->run(scratch);
+      scratch_ms[k].push_back(timer.elapsed_ms());
+      scratch_rounds[k].push_back(scratch.rounds);
+    }
+    // A carry past its bound pays the recompute too, as the service
+    // does; the rounds column then shows the recompute's.
+    {  // CC
+      Timer timer;
+      const auto changes = kernels::net_changes(held, now, touched);
+      cc.rounds = 0;
+      if (!kernels::carry_components(held, now, changes, cc.labels, sizes)) {
+        ++fallbacks[0];
+        kernels::make_kernel("CC", flat, options)->run(cc);
+        std::fill(sizes.begin(), sizes.end(), 0);
+        for (const vid_t label : cc.labels) ++sizes[label];
+      }
+      carried_ms[0].push_back(timer.elapsed_ms());
+      carried_rounds[0].push_back(cc.rounds);
+    }
+    {  // KCORE
+      Timer timer;
+      const auto changes = kernels::net_changes(held, now, touched);
+      core.rounds = 0;
+      if (!kernels::carry_core(now, changes, core.core)) {
+        ++fallbacks[1];
+        kernels::make_kernel("KCORE", flat, options)->run(core);
+      }
+      carried_ms[1].push_back(timer.elapsed_ms());
+      carried_rounds[1].push_back(core.rounds);
+    }
+    {  // PRDELTA: residual correction, then seeded push rounds
+      Timer timer;
+      const auto changes = kernels::net_changes(held, now, touched);
+      std::vector<double> residual = pr.residual;
+      kernels::carry_residual(held, now, changes, options.pr_damping, pr.rank,
+                              residual);
+      kernels::PageRankDeltaKernel kernel(flat, options, /*use_rmw=*/false,
+                                          TeamHandle(threads, false));
+      kernel.run_from(pr.rank, std::move(residual), pr);
+      carried_ms[2].push_back(timer.elapsed_ms());
+      carried_rounds[2].push_back(pr.rounds);
+    }
+
+    std::vector<std::uint64_t> count(n, 0);
+    const auto cc_ref = kernels::cc_reference(flat);
+    for (const vid_t label : cc_ref) ++count[label];
+    for (vid_t v = 0; v < n; ++v) {
+      if (cc.labels[v] != cc_ref[v] || sizes[cc.labels[v]] != count[cc_ref[v]]) {
+        carry_mismatch("CC", w.name, b);
+      }
+    }
+    if (core.core != kernels::kcore_reference(flat)) {
+      carry_mismatch("KCORE", w.name, b);
+    }
+    const auto pr_ref = kernels::pagerank_reference(flat, options.pr_damping);
+    const double bound = options.pr_epsilon * static_cast<double>(n) /
+                             (1.0 - options.pr_damping) +
+                         1e-12;
+    for (vid_t v = 0; v < n; ++v) {
+      if (std::abs(pr.rank[v] - pr_ref[v]) > bound ||
+          std::abs(pr.residual[v]) > options.pr_epsilon) {
+        carry_mismatch("PRDELTA", w.name, b);
+      }
+    }
+    held = now;
+  }
+
+  std::vector<CarryRow> rows;
+  for (int k = 0; k < 3; ++k) {
+    CarryRow row;
+    row.kernel = names[k];
+    row.graph = w.name;
+    row.scratch_ms = median(scratch_ms[k]);
+    row.carried_ms = median(carried_ms[k]);
+    row.scratch_rounds = median(scratch_rounds[k]);
+    row.carried_rounds = median(carried_rounds[k]);
+    row.fallbacks = fallbacks[k];
+    rows.push_back(row);
+  }
+  return rows;
 }
 
 }  // namespace
@@ -190,11 +359,45 @@ int main(int argc, char** argv) {
             << kernels::optimistic_kernels().size() << " kernels at "
             << threads << " threads\n";
 
+  std::cout << "\ncarrying answers across versions: 32 ledger-shaped "
+               "batches, median per batch (flatten not timed)\n";
+  std::vector<CarryRow> carry;
+  for (const Workload& w : graphs) {
+    for (const CarryRow& row : measure_carry(w, threads)) carry.push_back(row);
+  }
+  Table carry_table({"graph", "kernel", "scratch_ms", "carried_ms", "speedup",
+                     "scratch_rounds", "carried_rounds", "fallbacks"});
+  std::string carry_json = "[";
+  for (const CarryRow& row : carry) {
+    const double speedup = row.scratch_ms / std::max(row.carried_ms, 1e-9);
+    const std::size_t r = carry_table.add_row();
+    carry_table.set(r, 0, row.graph);
+    carry_table.set(r, 1, row.kernel);
+    carry_table.set(r, 2, row.scratch_ms, 3);
+    carry_table.set(r, 3, row.carried_ms, 3);
+    carry_table.set(r, 4, speedup, 2);
+    carry_table.set(r, 5, row.scratch_rounds, 0);
+    carry_table.set(r, 6, row.carried_rounds, 0);
+    carry_table.set(r, 7, static_cast<std::uint64_t>(row.fallbacks));
+    carry_json += std::string(carry_json.size() == 1 ? "" : ", ") +
+                  "{\"graph\": \"" + row.graph + "\", \"kernel\": \"" +
+                  row.kernel + "\", \"scratch_ms\": " +
+                  std::to_string(row.scratch_ms) + ", \"carried_ms\": " +
+                  std::to_string(row.carried_ms) + ", \"scratch_rounds\": " +
+                  std::to_string(row.scratch_rounds) +
+                  ", \"carried_rounds\": " +
+                  std::to_string(row.carried_rounds) +
+                  ", \"fallbacks\": " + std::to_string(row.fallbacks) + "}";
+  }
+  carry_json += "]";
+  carry_table.print(std::cout);
+  std::cout << "every carried answer matched the serial references\n";
+
   const std::string summary =
       "{\"threads\": " + std::to_string(threads) +
       ", \"optimistic_wins\": " + std::to_string(optimistic_wins) +
       ", \"kernels\": " + std::to_string(kernels::optimistic_kernels().size()) +
-      ", \"per_kernel\": " + per_kernel + "}";
+      ", \"per_kernel\": " + per_kernel + ", \"carry\": " + carry_json + "}";
   const bool wrote =
       bench::maybe_write_json("kernels", argc, argv, cells, summary);
   return wrote ? 0 : 1;

@@ -61,7 +61,6 @@ DynamicGraph::DynamicGraph(std::shared_ptr<const CsrGraph> base, Config config)
     : config_(config), base_(std::move(base)) {
   if (base_ == nullptr) throw std::invalid_argument("DynamicGraph: null base");
   content_hash_ = structural_fingerprint(*base_);
-  max_out_degree_ = base_->max_out_degree();
 }
 
 eid_t DynamicGraph::num_edges() const {
@@ -76,28 +75,14 @@ std::uint64_t DynamicGraph::base_multiplicity(vid_t u, vid_t v) const {
   return static_cast<std::uint64_t>(hi - lo);
 }
 
-void DynamicGraph::refresh_max_out_degree() {
-  if (delta_ == nullptr || delta_->empty()) {
-    max_out_degree_ = base_->max_out_degree();
-    return;
-  }
-  // The base figure survives unless a deletion touched a vertex; spills
-  // only raise degrees. Exact over all n is one cheap scan per batch —
-  // batches are rare next to the per-query reads of this accessor.
+vid_t DynamicGraph::max_out_degree() const {
+  if (!has_delta()) return base_->max_out_degree();
   vid_t best = 0;
-  const vid_t n = base_->num_vertices();
   const GraphSnapshot snap = snapshot();
-  for (vid_t v = 0; v < n; ++v) {
-    vid_t deg = base_->out_degree(base_->to_internal(v));
-    if (delta_->deleted_sources.find(v) != delta_->deleted_sources.end()) {
-      deg = snap.out_degree(v);
-    } else if (const auto it = delta_->extra_out.find(v);
-               it != delta_->extra_out.end()) {
-      deg += static_cast<vid_t>(it->second.size());
-    }
-    best = std::max(best, deg);
+  for (vid_t v = 0; v < base_->num_vertices(); ++v) {
+    best = std::max(best, snap.out_degree(v));
   }
-  max_out_degree_ = best;
+  return best;
 }
 
 BatchSummary DynamicGraph::apply(const UpdateBatch& batch) {
@@ -186,8 +171,6 @@ BatchSummary DynamicGraph::apply(const UpdateBatch& batch) {
               static_cast<double>(std::max<eid_t>(base_->num_edges(), 1))) {
     compact_locked();
     summary.compacted = true;
-  } else {
-    refresh_max_out_degree();
   }
 
   summary.version = version_;
@@ -250,7 +233,6 @@ void DynamicGraph::compact_locked() {
   // CSR alone, so two histories that compacted to the same edge set
   // agree again.
   content_hash_ = structural_fingerprint(*base_);
-  max_out_degree_ = base_->max_out_degree();
 }
 
 }  // namespace optibfs

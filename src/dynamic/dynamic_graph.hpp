@@ -310,9 +310,10 @@ class DynamicGraph {
 
   vid_t num_vertices() const { return base_->num_vertices(); }
   eid_t num_edges() const;
-  /// Exact maximum out-degree of CSR ∪ delta — recomputed on every
-  /// version bump so it never serves a stale base-CSR figure.
-  vid_t max_out_degree() const { return max_out_degree_; }
+  /// Exact maximum out-degree of CSR ∪ delta, computed when asked
+  /// (O(n) while a delta is live) — never a stale base-CSR figure, and
+  /// no update pays for it.
+  vid_t max_out_degree() const;
 
   std::uint64_t version() const { return version_; }
   bool has_delta() const { return delta_ != nullptr && !delta_->empty(); }
@@ -361,7 +362,6 @@ class DynamicGraph {
   bool current_has_edge_in(const DeltaOverlay& d, vid_t u, vid_t v) const;
   /// Multiplicity of u -> v in the base CSR (multi-edges count each).
   std::uint64_t base_multiplicity(vid_t u, vid_t v) const;
-  void refresh_max_out_degree();
   void compact_locked();
 
   Config config_;
@@ -370,7 +370,6 @@ class DynamicGraph {
   std::uint64_t version_ = 0;
   std::uint64_t content_hash_ = 0;
   std::uint64_t compactions_ = 0;
-  vid_t max_out_degree_ = 0;
   EpochRoster roster_;
   telemetry::CounterRegistry counters_{1};  ///< single-mutator slab
 };

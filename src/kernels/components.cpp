@@ -117,6 +117,7 @@ void ComponentsKernel::run(KernelResult& out) {
     out.labels[g_.to_original(v)] = canon[labels_[v]];
   out.core.clear();
   out.rank.clear();
+  out.residual.clear();
   out.counters = sub_.counters();
 }
 

@@ -95,6 +95,7 @@ void KCoreKernel::run(KernelResult& out) {
   out.core.assign(n, 0);
   for (vid_t v = 0; v < n; ++v) out.core[g_.to_original(v)] = core_[v];
   out.rank.clear();
+  out.residual.clear();
   out.counters = sub_.counters();
 }
 

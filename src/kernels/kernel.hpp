@@ -39,8 +39,10 @@ struct KernelResult {
   std::vector<std::uint32_t> core;
 
   /// delta-PageRank: rank per vertex (dangling mass dropped, see
-  /// pagerank_delta.hpp).
+  /// pagerank_delta.hpp), and the residual left at convergence (every
+  /// |residual| <= epsilon) — what a later version's run_from() resumes.
   std::vector<double> rank;
+  std::vector<double> residual;
 
   /// Aggregated flight-recorder counters for the run (taken at the
   /// final join — a quiescent point, per the telemetry discipline).

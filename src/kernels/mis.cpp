@@ -168,6 +168,7 @@ void MisKernel::run(KernelResult& out) {
     out.labels[g_.to_original(v)] = status_[v] == kIn ? 1 : 0;
   out.core.clear();
   out.rank.clear();
+  out.residual.clear();
   out.counters = sub_.counters();
 }
 

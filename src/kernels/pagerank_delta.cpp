@@ -1,5 +1,7 @@
 #include "kernels/pagerank_delta.hpp"
 
+#include <cmath>
+
 namespace optibfs::kernels {
 
 namespace {
@@ -28,10 +30,32 @@ PageRankDeltaKernel::PageRankDeltaKernel(const CsrGraph& g,
       sub_(g, opts, /*undirected_view=*/false, std::move(team)) {}
 
 void PageRankDeltaKernel::run(KernelResult& out) {
+  rank_.assign(sub_.n(), 0.0);
+  residual_.assign(sub_.n(), 1.0 - damping_);
+  push(out);
+}
+
+void PageRankDeltaKernel::run_from(std::vector<double> rank,
+                                   std::vector<double> residual,
+                                   KernelResult& out) {
+  if (!g_.is_reordered()) {
+    rank_ = std::move(rank);
+    residual_ = std::move(residual);
+  } else {
+    const vid_t n = sub_.n();
+    rank_.resize(n);
+    residual_.resize(n);
+    for (vid_t v = 0; v < n; ++v) {
+      rank_[g_.to_internal(v)] = rank[v];
+      residual_[g_.to_internal(v)] = residual[v];
+    }
+  }
+  push(out);
+}
+
+void PageRankDeltaKernel::push(KernelResult& out) {
   const vid_t n = sub_.n();
   const int p = sub_.num_threads();
-  rank_.assign(n, 0.0);
-  residual_.assign(n, 1.0 - damping_);
   sub_.reset_counters();
   if (!use_rmw_) {
     slab_.resize(static_cast<std::size_t>(p));
@@ -56,15 +80,15 @@ void PageRankDeltaKernel::run(KernelResult& out) {
         if (use_rmw_) {
           // Peek first so sub-threshold residuals stay in place; mass
           // landing between the peek and the exchange is still drained.
-          if (std::atomic_ref<double>(residual_[v])
-                  .load(std::memory_order_relaxed) <= epsilon_)
+          if (std::abs(std::atomic_ref<double>(residual_[v])
+                               .load(std::memory_order_relaxed)) <= epsilon_)
             return;
           ++c[telemetry::kKernelRmwOps];
           r = std::atomic_ref<double>(residual_[v])
                   .exchange(0.0, std::memory_order_relaxed);
         } else {
           r = residual_[v];
-          if (r <= epsilon_) return;
+          if (std::abs(r) <= epsilon_) return;
           residual_[v] = 0.0;
         }
         rank_[v] += r;
@@ -111,8 +135,17 @@ void PageRankDeltaKernel::run(KernelResult& out) {
   out.rounds = rounds;
   out.labels.clear();
   out.core.clear();
-  out.rank.assign(n, 0.0);
-  for (vid_t v = 0; v < n; ++v) out.rank[g_.to_original(v)] = rank_[v];
+  if (!g_.is_reordered()) {
+    out.rank = std::move(rank_);
+    out.residual = std::move(residual_);
+  } else {
+    out.rank.assign(n, 0.0);
+    out.residual.assign(n, 0.0);
+    for (vid_t v = 0; v < n; ++v) {
+      out.rank[g_.to_original(v)] = rank_[v];
+      out.residual[g_.to_original(v)] = residual_[v];
+    }
+  }
   out.counters = sub_.counters();
 }
 

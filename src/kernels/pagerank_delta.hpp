@@ -2,12 +2,17 @@
 //
 // Solves rank = (1-d)*1 + d*M^T rank, where M drops the columns of
 // zero-out-degree vertices (dangling mass is discarded — documented,
-// and mirrored by the serial reference). Every vertex starts with
-// residual (1-d); a round moves each super-epsilon residual into the
-// vertex's rank and pushes d*r/outdeg to its out-neighbors; rounds end
-// when no residual clears the BFSOptions::pr_epsilon threshold. Work
-// only ever moves mass forward, so the kernel is the suite's cleanest
-// monotone citizen.
+// and mirrored by the serial reference). Every push keeps the
+// invariant residual = (1-d)*1 + d*M^T rank - rank. A run from scratch
+// starts at (rank, residual) = (0, 1-d); run_from() starts wherever a
+// carried state left it (kernels/carry.hpp re-targets an earlier
+// version's residual to the current edges, which can make some
+// negative). A round moves each residual with |r| > BFSOptions::
+// pr_epsilon into the vertex's rank and pushes d*r/outdeg to its
+// out-neighbors; rounds end when every |r| <= epsilon, which bounds the
+// answer within n*epsilon/(1-d) of the fixpoint in L1. From scratch
+// every residual stays positive, so work only ever moves mass forward
+// and the kernel is the suite's cleanest monotone citizen.
 //
 // PRDELTA (optimistic): contributions accumulate into per-thread
 // cache-line-independent rank slabs with PLAIN stores — each slab has
@@ -40,9 +45,18 @@ class PageRankDeltaKernel final : public GraphKernel {
   const char* name() const override {
     return use_rmw_ ? "PRDELTA_RMW" : "PRDELTA";
   }
+  /// From scratch: run_from() at (0, 1-d).
   void run(KernelResult& out) override;
+  /// Pushes from a carried (rank, residual), both in ORIGINAL ids,
+  /// until every |residual| <= epsilon. Fills out.rank and out.residual
+  /// (on an unreordered graph the arrays move through, uncopied).
+  void run_from(std::vector<double> rank, std::vector<double> residual,
+                KernelResult& out);
 
  private:
+  /// The push rounds, from rank_ / residual_ (internal ids).
+  void push(KernelResult& out);
+
   const CsrGraph& g_;
   bool use_rmw_;
   double damping_;

@@ -219,13 +219,15 @@ class PlacedBuffer {
       return false;
     }
     release();
-    size_ = n;
     huge_ = huge;
     if (n == 0) return false;
     const std::size_t align = huge ? kHugePageBytes : 64;
-    bytes_ = round_up(n * sizeof(T), align);
-    data_ = static_cast<T*>(
-        ::operator new(bytes_, std::align_val_t{align}));
+    const std::size_t bytes = round_up(n * sizeof(T), align);
+    // Commit the new state only once the allocation succeeded: a grow
+    // that throws leaves an empty buffer, never n elements at nullptr.
+    data_ = static_cast<T*>(::operator new(bytes, std::align_val_t{align}));
+    size_ = n;
+    bytes_ = bytes;
     align_ = align;
     advised_huge_ = huge && advise_huge_pages(data_, bytes_);
     return advised_huge_;

@@ -114,17 +114,19 @@ ReorderPolicy resolve_reorder(const ServingConfig& config,
   return ReorderPolicy::kNone;
 }
 
-/// Publishes `dyn`'s current state as `version`. The kernel memo
-/// answers for one edge set only, so every epoch starts with an empty
-/// one and the first kernel query at that version fills it.
-std::shared_ptr<const TenantEpoch> make_epoch(const DynamicGraph& dyn,
-                                              std::uint64_t version) {
+/// Publishes `dyn`'s current state as `version`, with `kernels` as its
+/// kernel memo: an unlinked one for a new graph, or (on the mutator,
+/// in O(batch)) SharedKernelMemo::successor of the previous version's,
+/// so the first kernel query here carries the earlier answers.
+std::shared_ptr<const TenantEpoch> make_epoch(
+    const DynamicGraph& dyn, std::uint64_t version,
+    std::shared_ptr<SharedKernelMemo> kernels) {
   auto epoch = std::make_shared<TenantEpoch>();
   epoch->snapshot = dyn.snapshot();
   epoch->base = dyn.base_csr();
   epoch->version = version;
   epoch->fingerprint = dyn.content_fingerprint();
-  epoch->kernels = std::make_shared<SharedKernelMemo>();
+  epoch->kernels = std::move(kernels);
   return epoch;
 }
 
@@ -228,7 +230,8 @@ TenantId ScaleoutService::register_tenant(
     id = ++last_id_;
   }
   auto tenant = build_tenant(id, std::move(name), std::move(graph), quota);
-  tenant->epoch = make_epoch(*tenant->dynamic, 1);
+  tenant->epoch = make_epoch(*tenant->dynamic, 1,
+                             std::make_shared<SharedKernelMemo>());
   std::lock_guard lock(mutex_);
   tenants_[id] = std::move(tenant);
   return id;
@@ -257,7 +260,8 @@ std::uint64_t ScaleoutService::replace_graph(
     const auto old = registered();
     old_fingerprint = old->epoch->fingerprint;
     fresh->bucket = old->bucket;
-    fresh->epoch = make_epoch(*fresh->dynamic, old->epoch->version + 1);
+    fresh->epoch = make_epoch(*fresh->dynamic, old->epoch->version + 1,
+                              std::make_shared<SharedKernelMemo>());
     flush = take_queue(*old);
     std::erase(ready_, tenant_id);
     tenants_[tenant_id] = fresh;
@@ -574,7 +578,20 @@ void ScaleoutService::replica_loop(int r) {
       }
     }
     if (more) work_cv_.notify_one();
-    execute_claim(r, claim);
+    try {
+      execute_claim(r, claim);
+    } catch (...) {
+      // A claim that throws (a bad_alloc in a wave, a kernel run or a
+      // carry) fails its own unanswered queries, not the replica: the
+      // service keeps serving. Nothing here allocates.
+      const std::exception_ptr error = std::current_exception();
+      for (QueuedQuery& pending : claim.batch) {
+        if (!pending.answered) {
+          pending.answered = true;
+          pending.promise.set_exception(error);
+        }
+      }
+    }
   }
 }
 
@@ -582,13 +599,15 @@ void ScaleoutService::execute_claim(int r, Claim& claim) {
   Replica& rep = *replicas_[static_cast<std::size_t>(r)];
   const auto now = Clock::now();
 
-  std::vector<QueuedQuery> run;
+  // The queries stay in claim.batch (the caller fails whatever is left
+  // unanswered if this throws); the passes below order pointers.
+  std::vector<QueuedQuery*> run;
   run.reserve(claim.batch.size());
   for (QueuedQuery& pending : claim.batch) {
     if (pending.has_deadline && pending.deadline <= now) {
       complete(r, pending, QueryStatus::kTimeout);
     } else {
-      run.push_back(std::move(pending));
+      run.push_back(&pending);
     }
   }
 
@@ -599,27 +618,27 @@ void ScaleoutService::execute_claim(int r, Claim& claim) {
     // work queued in front of it would miss anyway, so answering kShed
     // now is strictly cheaper than executing into a miss.
     std::stable_sort(run.begin(), run.end(),
-                     [](const QueuedQuery& a, const QueuedQuery& b) {
-                       if (a.has_deadline != b.has_deadline)
-                         return a.has_deadline;
-                       if (!a.has_deadline) return false;
-                       return a.deadline < b.deadline;
+                     [](const QueuedQuery* a, const QueuedQuery* b) {
+                       if (a->has_deadline != b->has_deadline)
+                         return a->has_deadline;
+                       if (!a->has_deadline) return false;
+                       return a->deadline < b->deadline;
                      });
-    std::vector<QueuedQuery> kept;
+    std::vector<QueuedQuery*> kept;
     kept.reserve(run.size());
     double predicted_ms = 0.0;
-    for (QueuedQuery& pending : run) {
-      if (pending.has_deadline) {
+    for (QueuedQuery* pending : run) {
+      if (pending->has_deadline) {
         const double slack_ms =
-            std::chrono::duration<double, std::milli>(pending.deadline - now)
+            std::chrono::duration<double, std::milli>(pending->deadline - now)
                 .count();
         if (slack_ms < predicted_ms + rep.ewma_ms) {
-          complete(r, pending, QueryStatus::kShed);
+          complete(r, *pending, QueryStatus::kShed);
           continue;
         }
       }
       predicted_ms += rep.ewma_ms;
-      kept.push_back(std::move(pending));
+      kept.push_back(pending);
     }
     run.swap(kept);
   }
@@ -635,10 +654,10 @@ void ScaleoutService::execute_claim(int r, Claim& claim) {
     // without quiescing the fleet". RAII, so a throwing engine unpins.
     const EpochRoster::Pin pin(claim.tenant->dynamic->roster(), r,
                                claim.epoch->version);
-    std::vector<QueuedQuery> levels_queries, kernel_queries;
-    for (QueuedQuery& pending : run) {
-      (is_kernel_query(pending.query.kind) ? kernel_queries : levels_queries)
-          .push_back(std::move(pending));
+    std::vector<QueuedQuery*> levels_queries, kernel_queries;
+    for (QueuedQuery* pending : run) {
+      (is_kernel_query(pending->query.kind) ? kernel_queries : levels_queries)
+          .push_back(pending);
     }
     if (!levels_queries.empty()) {
       run_levels_queries(r, claim, levels_queries, exec_start);
@@ -681,9 +700,9 @@ ReplicaEngines& ScaleoutService::engines_for(int r, const Claim& claim) {
   return engines;
 }
 
-void ScaleoutService::run_levels_queries(int r, const Claim& claim,
-                                         std::vector<QueuedQuery>& queries,
-                                         Clock::time_point exec_start) {
+void ScaleoutService::run_levels_queries(
+    int r, const Claim& claim, const std::vector<QueuedQuery*>& queries,
+    Clock::time_point exec_start) {
   Replica& rep = *replicas_[static_cast<std::size_t>(r)];
   const TenantEpoch& epoch = *claim.epoch;
 
@@ -691,10 +710,10 @@ void ScaleoutService::run_levels_queries(int r, const Claim& claim,
   // from the cache, the rest run as one dispatch.
   std::vector<vid_t>& sources = rep.sources;
   sources.clear();
-  for (const QueuedQuery& pending : queries) {
-    if (std::find(sources.begin(), sources.end(), pending.query.source) ==
+  for (const QueuedQuery* pending : queries) {
+    if (std::find(sources.begin(), sources.end(), pending->query.source) ==
         sources.end()) {
-      sources.push_back(pending.query.source);
+      sources.push_back(pending->query.source);
     }
   }
   std::vector<ResultCache::LevelsPtr> rows(sources.size());
@@ -745,36 +764,38 @@ void ScaleoutService::run_levels_queries(int r, const Claim& claim,
     ++batch_histogram_[wave.size()];
   }
 
-  for (QueuedQuery& pending : queries) {
+  for (QueuedQuery* pending : queries) {
     const std::size_t slot = static_cast<std::size_t>(
-        std::find(sources.begin(), sources.end(), pending.query.source) -
+        std::find(sources.begin(), sources.end(), pending->query.source) -
         sources.begin());
     if (hit[slot]) counters_.bump_relaxed(r, kQueriesCacheHit);
-    finish(r, pending,
-           finalize_levels_query(pending.query, epoch.snapshot, epoch.version,
+    finish(r, *pending,
+           finalize_levels_query(pending->query, epoch.snapshot, epoch.version,
                                  rows[slot], hit[slot]),
            exec_start);
   }
 }
 
-void ScaleoutService::run_kernel_queries(int r, const Claim& claim,
-                                         std::vector<QueuedQuery>& queries,
-                                         Clock::time_point exec_start) {
+void ScaleoutService::run_kernel_queries(
+    int r, const Claim& claim, const std::vector<QueuedQuery*>& queries,
+    Clock::time_point exec_start) {
   const TenantEpoch& epoch = *claim.epoch;
   bool need_cc = false, need_core = false, need_rank = false;
-  for (const QueuedQuery& pending : queries) {
-    need_cc |= pending.query.kind == QueryKind::kComponents;
-    need_core |= pending.query.kind == QueryKind::kCoreNumber;
-    need_rank |= pending.query.kind == QueryKind::kRankTopK;
+  for (const QueuedQuery* pending : queries) {
+    need_cc |= pending->query.kind == QueryKind::kComponents;
+    need_core |= pending->query.kind == QueryKind::kCoreNumber;
+    need_rank |= pending->query.kind == QueryKind::kRankTopK;
   }
 
   // Replica-aware sharing: the memo lives on the epoch, so two replicas
-  // serving the same tenant version converge on one kernel run — the
-  // second blocks on the memo mutex and wakes to a filled result. A
-  // live delta overlay means the kernels run on CSR ∪ delta, flattened
-  // once per miss.
+  // serving the same tenant version converge on one fill — the second
+  // blocks on the memo mutex and wakes to a filled result. A fill
+  // carries the previous version's answer when the memo is linked (CC
+  // and KCORE walk the snapshot); a kernel run on a live delta overlay
+  // runs on CSR ∪ delta, flattened once per fill.
+  Replica& rep = *replicas_[static_cast<std::size_t>(r)];
   const SharedKernelMemo::Access access = epoch.kernels->ensure(
-      need_cc, need_core, need_rank,
+      need_cc, need_core, need_rank, epoch.snapshot,
       [&]() -> std::shared_ptr<const CsrGraph> {
         if (epoch.snapshot.has_delta()) {
           return std::make_shared<const CsrGraph>(
@@ -783,11 +804,11 @@ void ScaleoutService::run_kernel_queries(int r, const Claim& claim,
         return epoch.base;
       },
       team_options(config_, claim.tenant->prefetch.kernel.distance),
-      replicas_[static_cast<std::size_t>(r)]->team.get());
+      rep.team.get(), rep.trace);
 
   std::uint64_t hits = 0;
-  for (const QueuedQuery& pending : queries) {
-    const QueryKind kind = pending.query.kind;
+  for (const QueuedQuery* pending : queries) {
+    const QueryKind kind = pending->query.kind;
     if ((kind == QueryKind::kComponents && access.components_hit) ||
         (kind == QueryKind::kCoreNumber && access.core_hit) ||
         (kind == QueryKind::kRankTopK && access.rank_hit)) {
@@ -798,36 +819,33 @@ void ScaleoutService::run_kernel_queries(int r, const Claim& claim,
                          static_cast<std::uint64_t>(queries.size()));
   counters_.bump_relaxed(r, kKernelCacheHits, hits);
   counters_.bump_relaxed(r, kKernelRecomputes, access.recomputes);
+  counters_.bump_relaxed(r, kKernelCarries, access.carries);
+  counters_.bump_relaxed(r, kKernelCarryFallbacks, access.carry_fallbacks);
 
   const SharedKernelMemo& memo = *epoch.kernels;
-  for (QueuedQuery& pending : queries) {
+  for (QueuedQuery* pending : queries) {
     QueryResult result;
     result.status = QueryStatus::kOk;
     result.graph_version = epoch.version;
-    switch (pending.query.kind) {
+    switch (pending->query.kind) {
       case QueryKind::kComponents:
-        result.component = memo.components()[pending.query.source];
+        result.component = memo.components()[pending->query.source];
         result.component_size = memo.size_by_label()[result.component];
         result.cache_hit = access.components_hit;
         break;
       case QueryKind::kCoreNumber:
-        result.core = memo.core()[pending.query.source];
+        result.core = memo.core()[pending->query.source];
         result.cache_hit = access.core_hit;
         break;
-      case QueryKind::kRankTopK: {
-        const auto& ranked = memo.rank_sorted();
-        const std::size_t k = std::min(
-            static_cast<std::size_t>(pending.query.topk), ranked.size());
-        result.topk.assign(ranked.begin(),
-                           ranked.begin() + static_cast<std::ptrdiff_t>(k));
+      case QueryKind::kRankTopK:
+        result.topk = memo.top_ranked(static_cast<std::size_t>(pending->query.topk));
         result.cache_hit = access.rank_hit;
         break;
-      }
       default:
         result.status = QueryStatus::kInvalid;
         break;
     }
-    finish(r, pending, std::move(result), exec_start);
+    finish(r, *pending, std::move(result), exec_start);
   }
 }
 
@@ -879,8 +897,9 @@ void ScaleoutService::apply_one(PendingUpdate& update) {
     update.promise.set_exception(std::current_exception());
     return;
   }
-  const std::shared_ptr<const TenantEpoch> next =
-      make_epoch(*tenant->dynamic, prev->version + 1);
+  const std::shared_ptr<const TenantEpoch> next = make_epoch(
+      *tenant->dynamic, prev->version + 1,
+      SharedKernelMemo::successor(prev->kernels, prev->snapshot, summary));
 
   // Cone-scoped migration of this tenant's cache rows (extract_all is
   // fingerprint-keyed, so other tenants' rows are untouched): provably
@@ -999,6 +1018,7 @@ void ScaleoutService::complete(int slot, QueuedQuery& pending,
 void ScaleoutService::complete(int slot, QueuedQuery& pending,
                                QueryResult result) {
   result.latency_ms = ms_since(pending.submitted);
+  pending.answered = true;
   switch (result.status) {
     case QueryStatus::kOk:
       counters_.bump_relaxed(slot, kQueriesCompleted);

@@ -227,10 +227,10 @@ class ScaleoutService {
   void mutator_loop();
   void execute_claim(int r, Claim& claim);
   void run_levels_queries(int r, const Claim& claim,
-                          std::vector<QueuedQuery>& queries,
+                          const std::vector<QueuedQuery*>& queries,
                           Clock::time_point exec_start);
   void run_kernel_queries(int r, const Claim& claim,
-                          std::vector<QueuedQuery>& queries,
+                          const std::vector<QueuedQuery*>& queries,
                           Clock::time_point exec_start);
   /// Replica r's engines for the claim's base CSR, (re)built on demand.
   ReplicaEngines& engines_for(int r, const Claim& claim);

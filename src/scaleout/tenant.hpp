@@ -90,6 +90,7 @@ struct QueuedQuery {
   std::chrono::steady_clock::time_point submitted;
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline;
+  bool answered = false;  ///< the promise is set (a throwing claim skips it)
 };
 
 /// Engines one replica built over one base CSR. Slot r of a tenant is

@@ -53,7 +53,9 @@ namespace optibfs {
   /* kernel-typed queries (DESIGN.md section 11) */                        \
   X(kernel_queries,           kKernelQueries)                              \
   X(kernel_cache_hits,        kKernelCacheHits)     /* memo hits        */ \
-  X(kernel_recomputes,        kKernelRecomputes)    /* memo misses      */ \
+  X(kernel_recomputes,        kKernelRecomputes)    /* from scratch     */ \
+  X(kernel_carries,           kKernelCarries)       /* carried forward  */ \
+  X(kernel_carry_fallbacks,   kKernelCarryFallbacks) /* past a bound    */ \
   /* continuous queries */                                                 \
   X(watches_notified,         kWatchesNotified)                            \
   X(watch_repairs,            kWatchRepairs)                               \

@@ -115,6 +115,8 @@ namespace optibfs::telemetry {
   X(kKernelQueries,            "kernel_queries")                             \
   X(kKernelCacheHits,          "kernel_cache_hits")                          \
   X(kKernelRecomputes,         "kernel_recomputes")                          \
+  X(kKernelCarries,            "kernel_carries")                             \
+  X(kKernelCarryFallbacks,     "kernel_carry_fallbacks")                     \
   /* serving core: tenants, replicas, watches (DESIGN.md section 4) */    \
   X(kQueriesShed,              "queries_shed")                               \
   X(kQueriesQuotaRejected,     "queries_quota_rejected")                     \

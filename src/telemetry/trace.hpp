@@ -43,7 +43,8 @@ namespace optibfs::telemetry {
   X(kEvExecute,       "execute")        /* query dispatch -> completion */   \
   X(kEvApplyBatch,    "apply_batch")    /* dynamic edge-update batch    */   \
   X(kEvRepair,        "repair")         /* one incremental BFS repair   */   \
-  X(kEvRepairWave,    "repair_wave")    /* one repair wave level        */
+  X(kEvRepairWave,    "repair_wave")    /* one repair wave level        */   \
+  X(kEvKernelFill,    "kernel_fill")    /* one kernel-memo flavor fill  */
 // clang-format on
 
 enum EventName : std::uint32_t {

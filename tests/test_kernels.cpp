@@ -7,9 +7,12 @@
 // be bit-identical to the plain run for the deterministic kernels);
 // the optimistic variants issue ZERO atomic RMW except MIS's
 // documented conflict-demotion CAS; and kernels stay oracle-correct
-// across DynamicGraph apply() batches (recompute-on-snapshot repair).
+// across DynamicGraph apply() batches (recompute-on-snapshot repair),
+// and so do answers carried from one graph version to the next.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <random>
 #include <string>
@@ -17,8 +20,11 @@
 
 #include "dynamic/dynamic_graph.hpp"
 #include "graph/generators.hpp"
+#include "kernels/carry.hpp"
 #include "kernels/kernel_registry.hpp"
+#include "kernels/pagerank_delta.hpp"
 #include "kernels/reference.hpp"
+#include "scaleout/scaleout_service.hpp"
 #include "service/bfs_service.hpp"
 #include "test_util.hpp"
 
@@ -298,7 +304,7 @@ TEST(KernelService, TypedQueriesMemoizeAndMatchReferences) {
   EXPECT_EQ(stats.kernel_recomputes, 3u);  // CC + KCORE + PRDELTA, once each
 }
 
-TEST(KernelService, MemoDropsOnUpdatesAndRecomputes) {
+TEST(KernelService, MemoCarriesAcrossUpdates) {
   auto base = std::make_shared<const CsrGraph>(
       CsrGraph::from_edges(gen::erdos_renyi(400, 1600, 21)));
   BfsService service(kernel_service_config());
@@ -321,12 +327,17 @@ TEST(KernelService, MemoDropsOnUpdatesAndRecomputes) {
   service.apply_updates(batch);
   const QueryResult after = service.components_of(5);
   ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(after.cache_hit);  // memo died with the old edge set
+  EXPECT_FALSE(after.cache_hit);  // a new version's memo starts unfilled
   EXPECT_EQ(after.component, cc_ref[5]);
   const QueryResult core = service.core_number(5);
   ASSERT_TRUE(core.ok());
   EXPECT_EQ(core.core, core_ref[5]);
-  EXPECT_GE(service.stats().kernel_recomputes, 3u);  // CC, then CC + KCORE
+  // CC carries the first version's labels across the batch; KCORE was
+  // never filled before, so it has nothing to carry and recomputes.
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.kernel_recomputes, 2u);  // CC at v1, KCORE at v2
+  EXPECT_EQ(stats.kernel_carries, 1u);     // CC at v2
+  EXPECT_EQ(stats.kernel_carry_fallbacks, 0u);
 }
 
 TEST(KernelService, ReorderAutoSelectionProbesDegreeTail) {
@@ -371,6 +382,261 @@ TEST(KernelResultShape, OnlyRelevantFieldsFilled) {
   EXPECT_TRUE(pr.labels.empty());
   EXPECT_TRUE(pr.core.empty());
   EXPECT_EQ(pr.rank.size(), g.num_vertices());
+}
+
+// ---- carrying answers across graph versions (DESIGN.md §11.5) ----
+
+/// A base graph with what the carry rules must get exactly right: a
+/// deep core hierarchy, multi-copy edges (a delete masks every copy)
+/// and self-loops.
+EdgeList carry_base(vid_t n, eid_t m, std::uint64_t seed) {
+  EdgeList el = gen::power_law(n, m, 2.3, seed);
+  for (vid_t i = 0; i + 1 < n && i < 60; i += 3) {
+    el.add_unchecked(i, i + 1);
+    el.add_unchecked(i, i + 1);
+  }
+  el.add_unchecked(4, 4);
+  el.add_unchecked(9, 9);
+  return el;
+}
+
+/// A random batch against `g`'s edges: inserts that join components,
+/// deletes of existing edges (splits), of carry_base's doubled edges
+/// (every copy goes) and their re-inserts, and self-loops both ways.
+UpdateBatch carry_batch(const GraphSnapshot& g, std::mt19937_64& rng,
+                        int size) {
+  std::uniform_int_distribution<vid_t> pick(0, g.num_vertices() - 1);
+  UpdateBatch batch;
+  for (int i = 0; i < size; ++i) {
+    const vid_t u = pick(rng);
+    const vid_t doubled = static_cast<vid_t>(3 * (rng() % 20));
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+        batch.insert(u, pick(rng));
+        break;
+      case 2:
+        batch.insert(u, u);
+        break;
+      case 3:
+        batch.erase(u, u);
+        break;
+      case 4:
+        if (rng() % 2 == 0) batch.erase(doubled, doubled + 1);
+        else batch.insert(doubled, doubled + 1);
+        break;
+      default: {
+        std::vector<vid_t> out;
+        g.for_each_out(u, [&](vid_t w) { out.push_back(w); });
+        if (!out.empty()) batch.erase(u, out[rng() % out.size()]);
+        break;
+      }
+    }
+  }
+  return batch;
+}
+
+/// Checks one version's carried answers against the references.
+void expect_carried_matches(const CsrGraph& g, const std::vector<vid_t>& labels,
+                            const std::vector<vid_t>& sizes,
+                            const std::vector<std::uint32_t>& core,
+                            const KernelResult& pr, const BFSOptions& opts,
+                            const std::string& ctx) {
+  const vid_t n = g.num_vertices();
+  const auto cc_ref = kernels::cc_reference(g);
+  std::vector<std::uint64_t> count(n, 0);
+  for (const vid_t label : cc_ref) ++count[label];
+  const auto core_ref = kernels::kcore_reference(g);
+  const auto pr_ref = kernels::pagerank_reference(g, opts.pr_damping);
+  const double bound =
+      opts.pr_epsilon * static_cast<double>(n) / (1.0 - opts.pr_damping) +
+      1e-12;
+  for (vid_t v = 0; v < n; ++v) {
+    ASSERT_EQ(labels[v], cc_ref[v]) << ctx << " CC vertex " << v;
+    ASSERT_EQ(sizes[labels[v]], count[cc_ref[v]]) << ctx << " size " << v;
+    ASSERT_EQ(core[v], core_ref[v]) << ctx << " core vertex " << v;
+    ASSERT_NEAR(pr.rank[v], pr_ref[v], bound) << ctx << " rank vertex " << v;
+    ASSERT_LE(std::abs(pr.residual[v]), opts.pr_epsilon)
+        << ctx << " residual vertex " << v;
+  }
+}
+
+TEST(KernelCarry, RulesMatchReferencesAtEveryVersion) {
+  // The carry rules alone, version after version: every third version
+  // is skipped (carried later in one step with the batches joined), and
+  // a low compaction threshold puts a compaction inside the chain.
+  const BFSOptions opts = kernel_options(4);
+  for (const ReorderPolicy policy :
+       {ReorderPolicy::kNone, ReorderPolicy::kHubCluster}) {
+    const std::string name(reorder_policy_name(policy));
+    CsrGraph csr = CsrGraph::from_edges(carry_base(2000, 6000, 71));
+    if (policy != ReorderPolicy::kNone) csr = csr.reorder(policy);
+    DynamicGraph::Config config;
+    config.reorder = policy;
+    config.compact_threshold = 0.01;
+    DynamicGraph dyn(std::make_shared<const CsrGraph>(std::move(csr)), config);
+
+    GraphSnapshot held = dyn.snapshot();
+    const CsrGraph first = CsrGraph::from_edges(held.to_edge_list());
+    std::vector<vid_t> labels = kernels::cc_reference(first);
+    std::vector<vid_t> sizes(labels.size(), 0);
+    for (const vid_t label : labels) ++sizes[label];
+    std::vector<std::uint32_t> core = kernels::kcore_reference(first);
+    KernelResult pr = run_kernel("PRDELTA", first, opts);
+
+    std::mt19937_64 rng(policy == ReorderPolicy::kNone ? 5 : 6);
+    std::vector<std::pair<vid_t, vid_t>> touched;
+    int compactions = 0;
+    for (int version = 1; version <= 24; ++version) {
+      const BatchSummary summary = dyn.apply(carry_batch(dyn.snapshot(), rng, 10));
+      compactions += summary.compacted ? 1 : 0;
+      touched.insert(touched.end(), summary.inserts.begin(), summary.inserts.end());
+      touched.insert(touched.end(), summary.deletes.begin(), summary.deletes.end());
+      if (version % 3 == 1) continue;  // nobody asked at this version
+
+      const std::string ctx = name + " version " + std::to_string(version);
+      const GraphSnapshot now = dyn.snapshot();
+      const auto changes = kernels::net_changes(held, now, touched);
+      ASSERT_TRUE(kernels::carry_components(held, now, changes, labels, sizes))
+          << ctx;
+      ASSERT_TRUE(kernels::carry_core(now, changes, core)) << ctx;
+      std::vector<double> residual = pr.residual;
+      kernels::carry_residual(held, now, changes, opts.pr_damping, pr.rank,
+                              residual);
+      const CsrGraph flat = CsrGraph::from_edges(now.to_edge_list());
+      kernels::PageRankDeltaKernel kernel(flat, opts, /*use_rmw=*/false,
+                                          TeamHandle(opts.num_threads, false));
+      kernel.run_from(pr.rank, std::move(residual), pr);
+      ASSERT_NO_FATAL_FAILURE(
+          expect_carried_matches(flat, labels, sizes, core, pr, opts, ctx));
+      held = now;
+      touched.clear();
+    }
+    EXPECT_GE(compactions, 1) << name << ": the chain must cross a compaction";
+  }
+}
+
+TEST(KernelCarry, ServiceAnswersMatchReferencesAtEveryVersion) {
+  // End to end through the serving core: two replicas of four threads
+  // share each version's memo, versions without kernel queries are
+  // carried over in one step, a compaction and a replace_graph land
+  // mid-chain, and every vertex's answer is checked at every version
+  // that was asked.
+  for (const ReorderPolicy policy :
+       {ReorderPolicy::kNone, ReorderPolicy::kHubCluster}) {
+    const std::string name(reorder_policy_name(policy));
+    scaleout::ScaleoutConfig config;
+    config.replicas = 2;
+    config.threads_per_replica = 4;
+    config.reorder = policy;
+    config.compact_threshold = 0.015;
+    config.bfs.seed = 42;
+    scaleout::ScaleoutService service(config);
+    auto graph = std::make_shared<const CsrGraph>(
+        CsrGraph::from_edges(carry_base(600, 1800, 17)));
+    const auto tenant = service.register_tenant("carry", graph);
+    auto mirror = std::make_unique<DynamicGraph>(graph);
+    std::mt19937_64 rng(policy == ReorderPolicy::kNone ? 8 : 9);
+
+    for (int version = 1; version <= 15; ++version) {
+      if (version == 9) {
+        graph = std::make_shared<const CsrGraph>(
+            CsrGraph::from_edges(carry_base(600, 2000, 23)));
+        service.replace_graph(tenant, graph);
+        mirror = std::make_unique<DynamicGraph>(graph);
+      }
+      const UpdateBatch batch = carry_batch(mirror->snapshot(), rng, 8);
+      mirror->apply(batch);
+      service.apply_updates(tenant, batch);
+      if (version % 3 == 1) continue;
+
+      const std::string ctx = name + " version " + std::to_string(version);
+      const CsrGraph flat = CsrGraph::from_edges(mirror->snapshot().to_edge_list());
+      const vid_t n = flat.num_vertices();
+      const auto cc_ref = kernels::cc_reference(flat);
+      const auto core_ref = kernels::kcore_reference(flat);
+      const BFSOptions defaults;
+      const auto pr_ref = kernels::pagerank_reference(flat, defaults.pr_damping);
+      Query top;
+      top.kind = QueryKind::kRankTopK;
+      top.topk = static_cast<int>(n);
+      const QueryResult ranked = service.query(tenant, top);
+      ASSERT_TRUE(ranked.ok()) << ctx;
+      ASSERT_EQ(ranked.topk.size(), n) << ctx;
+      const double bound = defaults.pr_epsilon * static_cast<double>(n) /
+                               (1.0 - defaults.pr_damping) + 1e-12;
+      for (const auto& [v, r] : ranked.topk) {
+        ASSERT_NEAR(r, pr_ref[v], bound) << ctx << " rank vertex " << v;
+      }
+      // In waves the admission queue (max_queue) holds whole.
+      for (vid_t first = 0; first < n; first += 256) {
+        const vid_t last = std::min<vid_t>(n, first + 256);
+        std::vector<std::future<QueryResult>> cc, core;
+        for (vid_t v = first; v < last; ++v) {
+          Query q;
+          q.source = v;
+          q.kind = QueryKind::kComponents;
+          cc.push_back(service.submit(tenant, q));
+          q.kind = QueryKind::kCoreNumber;
+          core.push_back(service.submit(tenant, q));
+        }
+        for (vid_t v = first; v < last; ++v) {
+          const QueryResult c = cc[v - first].get();
+          const QueryResult k = core[v - first].get();
+          ASSERT_TRUE(c.ok() && k.ok()) << ctx;
+          ASSERT_EQ(c.component, cc_ref[v]) << ctx << " CC vertex " << v;
+          ASSERT_EQ(c.component_size,
+                    static_cast<std::uint64_t>(
+                        std::count(cc_ref.begin(), cc_ref.end(), cc_ref[v])))
+              << ctx << " size " << v;
+          ASSERT_EQ(k.core, core_ref[v]) << ctx << " core vertex " << v;
+        }
+      }
+    }
+    // Each flavor starts from scratch twice (the first version asked
+    // and the one after replace_graph) and is carried everywhere else,
+    // barring a carry past its bound.
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.kernel_recomputes, 6u + stats.kernel_carry_fallbacks)
+        << name;
+    EXPECT_GE(stats.kernel_carries, 3u * 6u) << name;
+    EXPECT_GE(stats.compactions, 1u) << name;
+  }
+}
+
+TEST(KernelCarry, DamagePastTheBoundRecomputes) {
+  // A "batch" that is really a bulk load changes more pairs than a
+  // carry takes on: every flavor falls back to a from-scratch run, and
+  // the answers still match.
+  auto graph = std::make_shared<const CsrGraph>(
+      CsrGraph::from_edges(gen::erdos_renyi(3000, 6000, 41)));
+  BfsService service(kernel_service_config());
+  service.register_graph(graph);
+  ASSERT_TRUE(service.components_of(0).ok());
+  ASSERT_TRUE(service.core_number(0).ok());
+  ASSERT_TRUE(service.rank_topk(1).ok());
+
+  UpdateBatch bulk;
+  std::mt19937_64 rng(3);
+  std::uniform_int_distribution<vid_t> pick(0, 2999);
+  while (bulk.size() <= 2 * SharedKernelMemo::kMaxCarriedChanges) {
+    bulk.insert(pick(rng), pick(rng));
+  }
+  DynamicGraph mirror(graph);
+  mirror.apply(bulk);
+  const CsrGraph merged = CsrGraph::from_edges(mirror.snapshot().to_edge_list());
+  service.apply_updates(bulk);
+
+  const QueryResult cc = service.components_of(11);
+  ASSERT_TRUE(cc.ok());
+  EXPECT_EQ(cc.component, kernels::cc_reference(merged)[11]);
+  const QueryResult core = service.core_number(11);
+  ASSERT_TRUE(core.ok());
+  EXPECT_EQ(core.core, kernels::kcore_reference(merged)[11]);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.kernel_carries, 0u);
+  EXPECT_EQ(stats.kernel_carry_fallbacks, 2u);
+  EXPECT_EQ(stats.kernel_recomputes, 3u + 2u);
 }
 
 }  // namespace

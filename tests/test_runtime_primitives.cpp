@@ -1,12 +1,16 @@
-// RNG, spin lock, spin barrier, topology, cache alignment.
+// RNG, spin lock, spin barrier, topology, cache alignment, placed
+// buffers.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <new>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "runtime/cache_aligned.hpp"
+#include "runtime/mem_topology.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/spin_barrier.hpp"
 #include "runtime/spin_lock.hpp"
@@ -167,6 +171,26 @@ TEST(CacheAligned, ElementsDoNotShareLines) {
     EXPECT_GE(b - a, kCacheLineSize);
     EXPECT_EQ(a % kCacheLineSize, 0u);
   }
+}
+
+// Kept out of sanitize_tests: TSan's allocator aborts on an oversized
+// request instead of throwing std::bad_alloc.
+TEST(PlacedBuffer, FailedGrowLeavesAnEmptyUsableBuffer) {
+  mem::PlacedBuffer<std::uint64_t> buf;
+  buf.grow(16, /*huge=*/false);
+  ASSERT_EQ(buf.size(), 16u);
+  // About 2^62 bytes: no allocator can satisfy it.
+  EXPECT_THROW(buf.grow(std::size_t{1} << 59, /*huge=*/false), std::bad_alloc);
+  EXPECT_TRUE(buf.empty());
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_EQ(buf.data(), nullptr);
+  EXPECT_EQ(buf.capacity_bytes(), 0u);
+  // An engine's next run grows again (size() < n) and gets real memory.
+  buf.grow(32, /*huge=*/false);
+  ASSERT_EQ(buf.size(), 32u);
+  ASSERT_NE(buf.data(), nullptr);
+  for (std::uint64_t i = 0; i < 32; ++i) buf[i] = i;
+  EXPECT_EQ(buf[31], 31u);
 }
 
 }  // namespace

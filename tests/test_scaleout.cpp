@@ -20,6 +20,7 @@
 #include "core/bfs_serial.hpp"
 #include "graph/generators.hpp"
 #include "harness/timing.hpp"
+#include "kernels/reference.hpp"
 #include "runtime/rng.hpp"
 #include "scaleout/scaleout_service.hpp"
 
@@ -433,15 +434,25 @@ TEST(ScaleoutService, KernelMemoSharedAcrossReplicas) {
   // the miss cost is bounded by one claim, whatever its width.
   EXPECT_GE(stats.kernel_cache_hits, 64u - 16u);
 
-  // A new version drops the memo; the next kernel query refills it once.
+  // A new version's memo carries the shared answer across the batch:
+  // the next kernel query fills it once, by carrying, not recomputing.
   UpdateBatch batch;
   batch.insert(0, 999);
   service.apply_updates(tenant, batch);
+  EdgeList merged = el;
+  merged.add_unchecked(0, 999);
+  const auto cc_ref = kernels::cc_reference(CsrGraph::from_edges(merged));
   Query q;
   q.kind = QueryKind::kComponents;
   q.source = 0;
-  ASSERT_TRUE(service.query(tenant, q).ok());
-  EXPECT_EQ(service.stats().kernel_recomputes, 2u);
+  const QueryResult after = service.query(tenant, q);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.component, cc_ref[0]);
+  EXPECT_EQ(after.component_size,
+            static_cast<std::uint64_t>(
+                std::count(cc_ref.begin(), cc_ref.end(), cc_ref[0])));
+  EXPECT_EQ(service.stats().kernel_recomputes, 1u);
+  EXPECT_EQ(service.stats().kernel_carries, 1u);
 }
 
 TEST(ScaleoutService, QuotaRejectsBeyondBurst) {
