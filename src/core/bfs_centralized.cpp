@@ -51,9 +51,7 @@ void CentralizedBFS::consume_level(int tid, level_t level) {
     }
     ++st.ctr[kSegmentsClaimed];
     const std::uint64_t seg_t0 = st.trace.now();
-    for (std::int64_t i = begin; i < end; ++i) {
-      process_slot(tid, q, i, level);
-    }
+    drain_slots(tid, q, begin, end, level, /*stop_at_empty=*/false);
     st.trace.span(kEvSegmentClaim, seg_t0,
                   static_cast<std::uint64_t>(end - begin));
   }
@@ -118,9 +116,7 @@ void CentralizedLockfreeBFS::consume_level(int tid, level_t level) {
 
     ++st.ctr[kSegmentsClaimed];
     const std::uint64_t seg_t0 = st.trace.now();
-    for (std::int64_t i = front; i < front + len; ++i) {
-      if (!process_slot(tid, k, i, level)) break;  // hit a 0: consumed
-    }
+    drain_slots(tid, k, front, front + len, level, /*stop_at_empty=*/true);
     st.trace.span(kEvSegmentClaim, seg_t0, static_cast<std::uint64_t>(len));
   }
 }
@@ -189,9 +185,7 @@ bool DecentralizedLockfreeBFS::drain_one_segment(int tid, int pool_id,
   ThreadState& st = state(tid);
   ++st.ctr[kSegmentsClaimed];
   const std::uint64_t seg_t0 = st.trace.now();
-  for (std::int64_t i = front; i < front + len; ++i) {
-    if (!process_slot(tid, queue, i, level)) break;
-  }
+  drain_slots(tid, queue, front, front + len, level, /*stop_at_empty=*/true);
   st.trace.span(kEvSegmentClaim, seg_t0, static_cast<std::uint64_t>(len));
   return true;
 }

@@ -50,6 +50,7 @@ BFSEngineBase::BFSEngineBase(std::string name, const CsrGraph& graph,
       name_(opts_.direction_mode == DirectionMode::kHybrid
                 ? std::move(name) + "_H"
                 : std::move(name)),
+      direction_(opts_.alpha, opts_.beta, graph.num_vertices()),
       team_(std::move(team)) {
   thp_baseline_ = opts_.huge_pages ? mem::anon_huge_bytes() : 0;
   if (opts_.parent_claim_dedup) {
@@ -151,97 +152,6 @@ int BFSEngineBase::pick_victim(int tid, bool prefer_local) {
   return victim;
 }
 
-void BFSEngineBase::discover(int tid, vid_t from, vid_t w,
-                             level_t next_level) {
-  // Arena probe: w is visited this run iff its stamp carries the
-  // current epoch — stamps from earlier runs read as unvisited with no
-  // wipe having happened (scratch_arena.hpp).
-  std::atomic_ref<stamp_t> lvl(stamped_level_[w]);
-  if (stamp_epoch(lvl.load(std::memory_order_relaxed)) == epoch_) {
-    // The common case on late levels: w already carries a level. This
-    // is the per-edge "wasted work" the paper's optimism trades for
-    // lock freedom; counting it costs one thread-private increment.
-    ++state(tid).ctr[kRevisits];
-    return;
-  }
-  if (!visited_bits_.empty()) {
-    // §IV-D atomic-bitmap alternative (Baseline2's claim): exactly one
-    // discoverer wins the fetch_or, so w enters exactly one queue.
-    const std::uint64_t bit = std::uint64_t{1} << (w & 63);
-    if ((visited_bits_[w >> 6].fetch_or(bit, std::memory_order_relaxed) &
-         bit) != 0) {
-      return;
-    }
-  }
-  // Two racing discoverers both store the same stamp (both hold a
-  // level-(next-1) parent), so the double-store is benign; the parent
-  // is the paper's "arbitrary concurrent write" — either value is a
-  // valid BFS parent. The stamp is one 64-bit word, so a racing reader
-  // sees either the old epoch or the complete new (epoch, level) pair,
-  // never a torn mix.
-  lvl.store(pack_stamp(epoch_, next_level), std::memory_order_relaxed);
-  std::atomic_ref<vid_t>(parent_scratch_[w])
-      .store(from, std::memory_order_relaxed);
-  if (!claim_.empty()) {
-    claim_[w].store(tid, std::memory_order_relaxed);
-  }
-  queues_.push_out(tid, w, graph_.out_degree(w));
-}
-
-void BFSEngineBase::visit_neighbor_range(int tid, vid_t v,
-                                         level_t next_level, std::size_t lo,
-                                         std::size_t hi) {
-  const auto nbrs = graph_.out_neighbors(v);
-  hi = std::min(hi, nbrs.size());
-  if (lo >= hi) return;
-  const auto dist = static_cast<std::size_t>(
-      opts_.prefetch_distance > 0 ? opts_.prefetch_distance : 0);
-  if (dist > 0) {
-    // Locality layer: get the random stamped_level_ probe for the
-    // neighbor `dist` ahead in flight while discover() works on the
-    // current one. Pure hint — correctness is untouched.
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (i + dist < hi) __builtin_prefetch(&stamped_level_[nbrs[i + dist]]);
-      discover(tid, v, nbrs[i], next_level);
-    }
-    if (hi - lo > dist) state(tid).ctr[kPrefetchIssued] += hi - lo - dist;
-  } else {
-    for (std::size_t i = lo; i < hi; ++i) {
-      discover(tid, v, nbrs[i], next_level);
-    }
-  }
-  state(tid).ctr[kEdgesScanned] += hi - lo;
-}
-
-bool BFSEngineBase::process_slot(int tid, int q, std::int64_t index,
-                                 level_t level) {
-  const vid_t v = queues_.consume_in(q, index, opts_.clear_slots);
-  ThreadState& st = state(tid);
-  if (v == kInvalidVertex) {
-    // Clearing trick hit: the slot was already consumed (overlapping or
-    // stale segment). The caller aborts its segment on this signal.
-    ++st.ctr[kZeroSlotAborts];
-    return false;
-  }
-  if (!claim_.empty() &&
-      claim_[v].load(std::memory_order_relaxed) != q) {
-    // §IV-D: another queue holds the claimed copy of v; skip this one.
-    ++st.ctr[kClaimSkips];
-    return true;
-  }
-  if (scale_free() && graph_.out_degree(v) > degree_threshold_) {
-    // A deferred hotspot counts as explored here, for the thread that
-    // popped it — not once per phase-2 explorer — keeping the per-pop
-    // vertices_explored convention uniform across all drain paths.
-    ++st.ctr[kVerticesExplored];
-    st.hotspots.push_back(v);
-    return true;
-  }
-  ++st.ctr[kVerticesExplored];
-  visit_neighbors(tid, v, level + 1);
-  return true;
-}
-
 void BFSEngineBase::run(vid_t source, BFSResult& out) {
   const vid_t n = graph_.num_vertices();
   if (source >= n) {
@@ -319,8 +229,6 @@ void BFSEngineBase::run(vid_t source, BFSResult& out) {
     ThreadState& st = state(tid);
     counters_.reset_slot(tid);
     st.ctr = counters_.slab(tid);
-    st.visited_in_slice = 0;
-    st.max_level_in_slice = 0;
     st.hotspots.clear();
     st.has_work.store(false, std::memory_order_relaxed);
     st.rng = Xoshiro256(opts_.seed * 0x9E3779B97F4A7C15ULL +
@@ -388,9 +296,7 @@ void BFSEngineBase::run(vid_t source, BFSResult& out) {
       more_levels_.store(true, std::memory_order_release);
       serial_next_level_.store(opts_.serial_frontier_cutoff > 0,
                                std::memory_order_release);
-      edges_unexplored_ = graph_.num_edges();
-      frontier_edges_ = 0;
-      frontier_size_ = 0;
+      direction_.reset(graph_.num_edges());
       frontier_mean_degree_ = std::max<std::int64_t>(
           1, queues_.total_in_edges());  // frontier = {source}
       prepare_direction(1);
@@ -457,21 +363,34 @@ void BFSEngineBase::run(vid_t source, BFSResult& out) {
     // level barrier already separated every traversal store from these
     // plain reads; writes are race-free because inv_perm is a bijection
     // (each original slot has exactly one writer).
+    // Locals, not the ThreadState fields and members: the level/parent
+    // stores are 32-bit words that could alias epoch_ and
+    // max_level_in_slice, which would force a reload and store of each
+    // per vertex.
     const vid_t* inv =
         graph_.inv_perm().empty() ? nullptr : graph_.inv_perm().data();
+    const stamp_t* stamps = stamped_level_.data();
+    const vid_t* parents = parent_scratch_.data();
+    level_t* level_out = out.level.data();
+    vid_t* parent_out = out.parent.data();
+    const std::uint32_t epoch = epoch_;
+    std::uint64_t visited = 0;
+    level_t max_level = 0;
     for (vid_t v = lo; v < hi; ++v) {
-      const level_t l = stamp_to_level(stamped_level_[v], epoch_);
+      const level_t l = stamp_to_level(stamps[v], epoch);
       const vid_t orig = inv != nullptr ? inv[v] : v;
-      out.level[orig] = l;
+      level_out[orig] = l;
       if (l != kUnvisited) {
-        ++st.visited_in_slice;
-        st.max_level_in_slice = std::max(st.max_level_in_slice, l);
-        const vid_t par = parent_scratch_[v];
-        out.parent[orig] = inv != nullptr ? inv[par] : par;
+        ++visited;
+        max_level = std::max(max_level, l);
+        const vid_t par = parents[v];
+        parent_out[orig] = inv != nullptr ? inv[par] : par;
       } else {
-        out.parent[orig] = kInvalidVertex;
+        parent_out[orig] = kInvalidVertex;
       }
     }
+    st.visited_in_slice = visited;
+    st.max_level_in_slice = max_level;
   });
 
   level_t max_level = 0;
@@ -539,34 +458,8 @@ void BFSEngineBase::prepare_direction(std::int64_t next_size) {
   if (opts_.direction_mode != DirectionMode::kHybrid) return;
   const bool was_bottom_up =
       bottom_up_level_.load(std::memory_order_relaxed);
-  // Beamer's bookkeeping: the edges the finished frontier could have
-  // scanned are no longer "unexplored".
-  edges_unexplored_ -= std::min(edges_unexplored_, frontier_edges_);
-  frontier_edges_ = static_cast<std::uint64_t>(queues_.total_in_edges());
-  const std::int64_t prev_size = frontier_size_;
-  frontier_size_ = next_size;
-  bool bottom_up = false;
-  if (next_size > 0 && opts_.alpha > 0) {
-    if (!was_bottom_up) {
-      // Alpha rule, in overflow-safe division form: switch down when the
-      // frontier's out-edges exceed 1/alpha of the unexplored edges —
-      // but only while the frontier is still growing (Beamer's guard:
-      // a plateaued or shrinking frontier on mesh-like graphs never
-      // amortizes a full bottom-up sweep).
-      bottom_up = next_size > prev_size &&
-                  frontier_edges_ >
-                      edges_unexplored_ /
-                          static_cast<std::uint64_t>(opts_.alpha);
-    } else {
-      // Beta rule: stay bottom-up while the frontier is still at least
-      // n/beta vertices; beta == 0 means switch back immediately.
-      bottom_up =
-          opts_.beta > 0 &&
-          static_cast<std::uint64_t>(next_size) >=
-              static_cast<std::uint64_t>(graph_.num_vertices()) /
-                  static_cast<std::uint64_t>(opts_.beta);
-    }
-  }
+  const bool bottom_up = direction_.next(
+      next_size, static_cast<std::uint64_t>(queues_.total_in_edges()));
   bottom_up_level_.store(bottom_up, std::memory_order_release);
   // The word-scan bitmaps describe the frontier only across an
   // *unbroken* run of bottom-up levels: a top-down (or serial) level
@@ -733,26 +626,16 @@ void BFSEngineBase::consume_level_bottom_up(int tid, level_t level) {
 }
 
 void BFSEngineBase::drain_level_serially(int tid, level_t level) {
-  ThreadState& st = state(tid);
+  Tally tally;
   for (int q = 0; q < p_; ++q) {
     const std::int64_t rear = queues_.in_rear(q);
     for (std::int64_t i = 0; i < rear; ++i) {
-      const vid_t v = queues_.consume_in(q, i, opts_.clear_slots);
-      if (v == kInvalidVertex) {
-        ++st.ctr[kZeroSlotAborts];  // duplicate from a prior level
-        continue;
-      }
-      if (!claim_.empty() &&
-          claim_[v].load(std::memory_order_relaxed) != q) {
-        ++st.ctr[kClaimSkips];
-        continue;
-      }
-      // Hotspots are explored inline: with one thread there is nothing
-      // to split a fat adjacency list across.
-      ++st.ctr[kVerticesExplored];
-      visit_neighbors(tid, v, level + 1);
+      // An empty slot is a duplicate from a prior level, not a twin's
+      // mark, so the drain goes on past it.
+      process_slot(tid, q, i, level, tally, /*defer_hotspots=*/false);
     }
   }
+  tally.add_to(state(tid).ctr);
 }
 
 void BFSEngineBase::explore_hotspots(int tid, level_t level) {
@@ -781,6 +664,7 @@ void BFSEngineBase::explore_hotspots(int tid, level_t level) {
   if (opts_.phase2 == Phase2Mode::kChunked) {
     // Paper phase 2: adjacency list of each hotspot is cut into p
     // chunks; thread i explores chunk i. No stealing, no shared state.
+    Tally tally;
     for (const vid_t h : level_hotspots_) {
       const auto deg = static_cast<std::size_t>(graph_.out_degree(h));
       const auto t = static_cast<std::size_t>(tid);
@@ -789,8 +673,9 @@ void BFSEngineBase::explore_hotspots(int tid, level_t level) {
       const std::size_t chunk_hi = deg * (t + 1) / pp;
       // vertices_explored was already counted when the popping thread
       // deferred the hotspot (see process_slot).
-      visit_neighbor_range(tid, h, level + 1, chunk_lo, chunk_hi);
+      visit_neighbor_range(tid, h, level + 1, chunk_lo, chunk_hi, tally);
     }
+    tally.add_to(ctr);
     return;
   }
 
@@ -816,12 +701,14 @@ void BFSEngineBase::drain_adjacency_range(int tid, std::size_t slot,
   const vid_t h = level_hotspots_[slot];
   std::atomic_ref<std::int64_t> front(hotspot_front_[slot]);
   const std::atomic_ref<std::int64_t> rear(hotspot_rear_[slot]);
+  Tally tally;
   for (std::int64_t e = front.load(std::memory_order_relaxed);
        e < rear.load(std::memory_order_relaxed); ++e) {
     visit_neighbor_range(tid, h, level + 1, static_cast<std::size_t>(e),
-                         static_cast<std::size_t>(e) + 1);
+                         static_cast<std::size_t>(e) + 1, tally);
     front.store(e + 1, std::memory_order_relaxed);
   }
+  tally.add_to(state(tid).ctr);
 }
 
 bool BFSEngineBase::steal_adjacency_range(int tid, level_t level) {
@@ -855,9 +742,11 @@ bool BFSEngineBase::steal_adjacency_range(int tid, level_t level) {
     const std::int64_t mid = f + (r - f) / 2;
     rear.store(mid, std::memory_order_relaxed);
     ++st.ctr[kStealSuccess];
+    Tally tally;
     visit_neighbor_range(tid, level_hotspots_[slot], level + 1,
                          static_cast<std::size_t>(mid),
-                         static_cast<std::size_t>(r));
+                         static_cast<std::size_t>(r), tally);
+    tally.add_to(st.ctr);
     return true;
   }
   return false;

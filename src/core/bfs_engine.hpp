@@ -21,6 +21,7 @@
 // design assumes.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -30,6 +31,7 @@
 
 #include "core/bfs_options.hpp"
 #include "core/bfs_result.hpp"
+#include "core/direction_rule.hpp"
 #include "core/frontier_queues.hpp"
 #include "core/scratch_arena.hpp"
 #include "core/steal_stats.hpp"
@@ -127,21 +129,107 @@ class BFSEngineBase : public ParallelBFS {
 
   // ---- helpers for subclasses ----
 
-  /// Scans all of v's out-neighbors, discovering unvisited ones into
-  /// thread tid's out-queue.
-  void visit_neighbors(int tid, vid_t v, level_t next_level) {
-    const auto nbrs = graph_.out_neighbors(v);
-    visit_neighbor_range(tid, v, next_level, 0, nbrs.size());
-  }
+  /// The hot counters of one drain (a segment, a neighbor range, a
+  /// serial level), tallied in locals and added to the thread's slab
+  /// once when the drain ends. A per-edge `++ctr[k]` is a load and a
+  /// store through the slab, which the compiler must redo after every
+  /// stamp store (both are uint64 words, so they may alias); a tally
+  /// field is a register increment. Totals are unchanged.
+  struct Tally {
+    std::uint64_t explored = 0;
+    std::uint64_t edges = 0;
+    std::uint64_t revisits = 0;
+    std::uint64_t prefetches = 0;
+    std::uint64_t zero_slots = 0;
+    std::uint64_t claim_skips = 0;
 
-  /// Scans neighbors [lo, hi) of v only (scale-free phase-2 chunks).
-  void visit_neighbor_range(int tid, vid_t v, level_t next_level,
-                            std::size_t lo, std::size_t hi);
+    void add_to(std::uint64_t* ctr) const {
+      ctr[telemetry::kVerticesExplored] += explored;
+      ctr[telemetry::kEdgesScanned] += edges;
+      ctr[telemetry::kRevisits] += revisits;
+      ctr[telemetry::kPrefetchIssued] += prefetches;
+      ctr[telemetry::kZeroSlotAborts] += zero_slots;
+      ctr[telemetry::kClaimSkips] += claim_skips;
+    }
+  };
+
+  /// Scans neighbors [lo, hi) of v, discovering unvisited ones into
+  /// thread tid's out-queue.
+  [[gnu::always_inline]] void visit_neighbor_range(int tid, vid_t v,
+                                                   level_t next_level,
+                                                   std::size_t lo,
+                                                   std::size_t hi,
+                                                   Tally& tally) {
+    const auto nbrs = graph_.out_neighbors(v);
+    hi = std::min(hi, nbrs.size());
+    if (lo >= hi) return;
+    const auto dist = static_cast<std::size_t>(
+        opts_.prefetch_distance > 0 ? opts_.prefetch_distance : 0);
+    std::uint64_t revisits = 0;
+    if (dist > 0) {
+      // Locality layer: get the random stamped_level_ probe for the
+      // neighbor `dist` ahead in flight while discover() works on the
+      // current one. Pure hint — correctness is untouched.
+      for (std::size_t i = lo; i < hi; ++i) {
+        if (i + dist < hi) __builtin_prefetch(&stamped_level_[nbrs[i + dist]]);
+        revisits += discover(tid, v, nbrs[i], next_level) ? 1 : 0;
+      }
+      if (hi - lo > dist) tally.prefetches += hi - lo - dist;
+    } else {
+      for (std::size_t i = lo; i < hi; ++i) {
+        revisits += discover(tid, v, nbrs[i], next_level) ? 1 : 0;
+      }
+    }
+    tally.revisits += revisits;
+    tally.edges += hi - lo;
+  }
 
   /// Pops slot `index` of in-queue q and fully processes it: clearing,
   /// claim check, hotspot deferral, neighbor visit, statistics.
   /// Returns false if the slot was empty (the caller's abort signal).
-  bool process_slot(int tid, int q, std::int64_t index, level_t level);
+  /// With `defer_hotspots` false a hotspot is explored inline (the
+  /// serial drain: one thread has nothing to split it across).
+  [[gnu::always_inline]] bool process_slot(int tid, int q,
+                                           std::int64_t index, level_t level,
+                                           Tally& tally,
+                                           bool defer_hotspots = true) {
+    const vid_t v = queues_.consume_in(q, index, opts_.clear_slots);
+    if (v == kInvalidVertex) {
+      // Clearing trick hit: the slot was already consumed (overlapping
+      // or stale segment). The caller aborts its segment on this signal.
+      ++tally.zero_slots;
+      return false;
+    }
+    if (!claim_.empty() && claim_[v].load(std::memory_order_relaxed) != q) {
+      // §IV-D: another queue holds the claimed copy of v; skip this one.
+      ++tally.claim_skips;
+      return true;
+    }
+    // A deferred hotspot counts as explored here, for the thread that
+    // popped it — not once per phase-2 explorer — keeping the per-pop
+    // vertices_explored convention uniform across all drain paths.
+    ++tally.explored;
+    if (defer_hotspots && scale_free() &&
+        graph_.out_degree(v) > degree_threshold_) {
+      state(tid).hotspots.push_back(v);
+      return true;
+    }
+    visit_neighbor_range(tid, v, level + 1, 0, graph_.out_degree(v), tally);
+    return true;
+  }
+
+  /// Processes slots [begin, end) of in-queue q under one tally. An
+  /// empty slot ends the drain when `stop_at_empty` (the optimistic
+  /// fetches: a twin consumed the rest of the segment); the lock-based
+  /// variants, which never meet a twin, count it and go on.
+  void drain_slots(int tid, int q, std::int64_t begin, std::int64_t end,
+                   level_t level, bool stop_at_empty) {
+    Tally tally;
+    for (std::int64_t i = begin; i < end; ++i) {
+      if (!process_slot(tid, q, i, level, tally) && stop_at_empty) break;
+    }
+    tally.add_to(state(tid).ctr);
+  }
 
   /// Paper's adaptive segment size: recomputed at every dispatch from
   /// the vertices remaining and p. Honors opts_.segment_size when fixed;
@@ -208,9 +296,9 @@ class BFSEngineBase : public ParallelBFS {
   /// anywhere on this path. Costs one internal barrier phase.
   void consume_level_bottom_up(int tid, level_t level);
 
-  /// Single-threaded (barrier window): updates the alpha/beta direction
-  /// bookkeeping and decides whether the next level (of `next_size`
-  /// frontier vertices) runs bottom-up. No-op unless kHybrid.
+  /// Single-threaded (barrier window): asks the direction rule whether
+  /// the next level (of `next_size` frontier vertices) runs bottom-up
+  /// and updates the state that depends on it. No-op unless kHybrid.
   void prepare_direction(std::int64_t next_size);
 
   /// Phase-2 stealing mode: takes the upper half of the remaining
@@ -293,15 +381,50 @@ class BFSEngineBase : public ParallelBFS {
   /// the barrier-window thread in prepare_direction.
   std::atomic<bool> unvisited_valid_{false};
   std::atomic<bool> bottom_up_level_{false};  ///< set in barrier window
-  // Alpha/beta bookkeeping; single writer (the barrier-window thread).
-  std::uint64_t edges_unexplored_ = 0;
-  std::uint64_t frontier_edges_ = 0;
-  std::int64_t frontier_size_ = 0;  ///< previous level, for the growth check
+  /// Alpha/beta bookkeeping; single writer (the barrier-window thread).
+  DirectionRule direction_;
   std::int64_t frontier_mean_degree_ = 1;
 
  protected:
-  // Discovery primitive shared with process_slot; exposed for phase-2.
-  void discover(int tid, vid_t from, vid_t w, level_t next_level);
+  /// Discovery primitive of the top-down paths: stamps w at next_level
+  /// with parent `from` and pushes it, unless w already carries this
+  /// run's stamp. Returns true in that case (a revisit).
+  [[gnu::always_inline]] bool discover(int tid, vid_t from, vid_t w,
+                                       level_t next_level) {
+    // Arena probe: w is visited this run iff its stamp carries the
+    // current epoch — stamps from earlier runs read as unvisited with
+    // no wipe having happened (scratch_arena.hpp).
+    std::atomic_ref<stamp_t> lvl(stamped_level_[w]);
+    if (stamp_epoch(lvl.load(std::memory_order_relaxed)) == epoch_) {
+      // The common case on late levels: w already carries a level. This
+      // is the per-edge "wasted work" the paper's optimism trades for
+      // lock freedom; the caller counts it.
+      return true;
+    }
+    if (!visited_bits_.empty()) {
+      // §IV-D atomic-bitmap alternative (Baseline2's claim): exactly one
+      // discoverer wins the fetch_or, so w enters exactly one queue.
+      const std::uint64_t bit = std::uint64_t{1} << (w & 63);
+      if ((visited_bits_[w >> 6].fetch_or(bit, std::memory_order_relaxed) &
+           bit) != 0) {
+        return false;
+      }
+    }
+    // Two racing discoverers both store the same stamp (both hold a
+    // level-(next-1) parent), so the double-store is benign; the parent
+    // is the paper's "arbitrary concurrent write" — either value is a
+    // valid BFS parent. The stamp is one 64-bit word, so a racing reader
+    // sees either the old epoch or the complete new (epoch, level) pair,
+    // never a torn mix.
+    lvl.store(pack_stamp(epoch_, next_level), std::memory_order_relaxed);
+    std::atomic_ref<vid_t>(parent_scratch_[w])
+        .store(from, std::memory_order_relaxed);
+    if (!claim_.empty()) {
+      claim_[w].store(tid, std::memory_order_relaxed);
+    }
+    queues_.push_out(tid, w, graph_.out_degree(w));
+    return false;
+  }
 
   BFSResult& result() { return *out_; }
 

@@ -75,9 +75,7 @@ void WorkStealingBFS::drain_own_segment(int tid, level_t level) {
       const int q = st.seg_queue.load(std::memory_order_relaxed);
       st.lock.unlock();
       ++st.ctr[kSegmentsClaimed];
-      for (std::int64_t i = f; i < f + len; ++i) {
-        process_slot(tid, q, i, level);
-      }
+      drain_slots(tid, q, f, f + len, level, /*stop_at_empty=*/false);
     }
   }
 
@@ -92,11 +90,13 @@ void WorkStealingBFS::drain_own_segment(int tid, level_t level) {
       options().clear_slots ? queues_.capacity()
                             : st.seg_rear.load(std::memory_order_relaxed);
   std::int64_t i = st.seg_front.load(std::memory_order_relaxed);
+  Tally tally;
   while (i < bound) {
-    if (!process_slot(tid, q, i, level)) break;
+    if (!process_slot(tid, q, i, level, tally)) break;
     ++i;
     st.seg_front.store(i, std::memory_order_relaxed);
   }
+  tally.add_to(st.ctr);
   st.has_work.store(false, std::memory_order_relaxed);
 }
 

@@ -1,6 +1,5 @@
 #include "core/frontier_queues.hpp"
 
-#include <cassert>
 #include <cstring>
 #include <stdexcept>
 
@@ -38,16 +37,6 @@ void FrontierQueues::init_queue(int q) {
       static_cast<std::size_t>(q) * static_cast<std::size_t>(capacity_);
   std::memset(static_cast<void*>(a_.data() + offset), 0, bytes);
   std::memset(static_cast<void*>(b_.data() + offset), 0, bytes);
-}
-
-void FrontierQueues::push_out(int tid, vid_t v, vid_t degree) {
-  OutCount& count = out_count_[static_cast<std::size_t>(tid)].value;
-  assert(count.entries + 1 < capacity_ && "out queue overflow");
-  out_[static_cast<std::size_t>(tid) * static_cast<std::size_t>(capacity_) +
-       static_cast<std::size_t>(count.entries)]
-      .store(v + 1, std::memory_order_relaxed);
-  ++count.entries;
-  count.edges += degree;
 }
 
 void FrontierQueues::swap_and_prepare() {

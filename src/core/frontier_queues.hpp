@@ -20,6 +20,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -70,7 +71,15 @@ class FrontierQueues {
 
   /// Appends v to out-queue `tid`. Never overflows by the 1-per-queue
   /// argument above; bounds are asserted in debug builds.
-  void push_out(int tid, vid_t v, vid_t degree);
+  void push_out(int tid, vid_t v, vid_t degree) {
+    OutCount& count = out_count_[static_cast<std::size_t>(tid)].value;
+    assert(count.entries + 1 < capacity_ && "out queue overflow");
+    out_[static_cast<std::size_t>(tid) * static_cast<std::size_t>(capacity_) +
+         static_cast<std::size_t>(count.entries)]
+        .store(v + 1, std::memory_order_relaxed);
+    ++count.entries;
+    count.edges += degree;
+  }
 
   /// Entries pushed to out-queue `tid` this level.
   std::int64_t out_count(int tid) const {

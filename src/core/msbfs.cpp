@@ -31,6 +31,7 @@ MsBfsSession::MsBfsSession(const CsrGraph& graph, const BFSOptions& options,
       p_(team.width()),
       queues_(p_, graph.num_vertices()),
       barrier_(p_),
+      direction_(options.alpha, options.beta, graph.num_vertices()),
       explored_(static_cast<std::size_t>(p_)),
       counters_(p_),
       traces_(static_cast<std::size_t>(p_)),
@@ -145,9 +146,8 @@ void MsBfsSession::run(const std::vector<vid_t>& sources, MsBfsResult& out) {
                     ? ~std::uint64_t{0}
                     : (std::uint64_t{1} << sources.size()) - 1;
   bottom_up_level_.store(false, std::memory_order_relaxed);
-  edges_unexplored_ = graph_.num_edges();
-  frontier_edges_ = static_cast<std::uint64_t>(queues_.total_in_edges());
-  frontier_size_ = queues_.total_in();
+  direction_.reset(graph_.num_edges(), queues_.total_in(),
+                   static_cast<std::uint64_t>(queues_.total_in_edges()));
   bottom_up_levels_count_ = 0;
 
   team_.run([&](int tid) { run_wave(tid, out); });
@@ -326,31 +326,8 @@ void MsBfsSession::run_wave(int tid, MsBfsResult& out) {
 
 void MsBfsSession::prepare_direction(std::int64_t next_size) {
   if (!hybrid_) return;
-  const bool was_bottom_up =
-      bottom_up_level_.load(std::memory_order_relaxed);
-  // Beamer bookkeeping, same rules as BFSEngineBase::prepare_direction:
-  // the finished frontier's out-edges leave the unexplored pool, then
-  // the alpha rule (with the still-growing guard) switches down and the
-  // beta rule switches back.
-  edges_unexplored_ -= std::min(edges_unexplored_, frontier_edges_);
-  frontier_edges_ = static_cast<std::uint64_t>(queues_.total_in_edges());
-  const std::int64_t prev_size = frontier_size_;
-  frontier_size_ = next_size;
-  bool bottom_up = false;
-  if (next_size > 0) {
-    if (!was_bottom_up) {
-      bottom_up = next_size > prev_size &&
-                  frontier_edges_ >
-                      edges_unexplored_ /
-                          static_cast<std::uint64_t>(opts_.alpha);
-    } else {
-      bottom_up =
-          opts_.beta > 0 &&
-          static_cast<std::uint64_t>(next_size) >=
-              static_cast<std::uint64_t>(graph_.num_vertices()) /
-                  static_cast<std::uint64_t>(opts_.beta);
-    }
-  }
+  const bool bottom_up = direction_.next(
+      next_size, static_cast<std::uint64_t>(queues_.total_in_edges()));
   bottom_up_level_.store(bottom_up, std::memory_order_release);
   if (bottom_up) ++bottom_up_levels_count_;
 }

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "core/bfs_options.hpp"
+#include "core/direction_rule.hpp"
 #include "core/frontier_queues.hpp"
 #include "core/scratch_arena.hpp"
 #include "graph/csr_graph.hpp"
@@ -133,8 +134,8 @@ class MsBfsSession {
   std::pair<vid_t, vid_t> owned(int tid) const;
   void run_wave(int tid, MsBfsResult& out);
   void run_level_bottom_up(int tid, level_t depth, MsBfsResult& out);
-  /// Barrier-window-only: Beamer alpha/beta bookkeeping deciding the
-  /// next level's direction.
+  /// Barrier-window-only: asks the direction rule whether the next
+  /// level runs bottom-up.
   void prepare_direction(std::int64_t next_size);
 
   const CsrGraph& graph_;
@@ -164,9 +165,7 @@ class MsBfsSession {
   // bookkeeping fields have a single writer (the window thread).
   std::atomic<bool> bottom_up_level_{false};
   std::uint64_t batch_mask_ = 0;  ///< low num_sources bits set
-  std::uint64_t edges_unexplored_ = 0;
-  std::uint64_t frontier_edges_ = 0;
-  std::int64_t frontier_size_ = 0;
+  DirectionRule direction_;
   std::uint64_t bottom_up_levels_count_ = 0;
 
   /// Reordered graphs: one scratch row per scattering member (min(p,

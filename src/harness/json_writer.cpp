@@ -1,9 +1,38 @@
 #include "harness/json_writer.hpp"
 
+#include <cstdio>
+
 #include "harness/machine_info.hpp"
 #include "runtime/mem_topology.hpp"
 
 namespace optibfs {
+
+namespace {
+
+/// Output of `git <args>` run in the source tree the binary was built
+/// from ("" when git or the checkout is unavailable).
+std::string git_output(const char* args) {
+#if defined(OPTIBFS_SOURCE_DIR)
+  const std::string cmd =
+      std::string("git -C '") + OPTIBFS_SOURCE_DIR + "' " + args +
+      " 2>/dev/null";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {};
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  pclose(pipe);
+  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
+    out.pop_back();
+  }
+  return out;
+#else
+  (void)args;
+  return {};
+#endif
+}
+
+}  // namespace
 
 std::string JsonWriter::escape(const std::string& text) {
   std::string out;
@@ -95,7 +124,8 @@ JsonWriter& JsonWriter::raw(const std::string& json) {
 void write_result_header(JsonWriter& w) {
   // v3: adds the memory-topology facts (sockets/pinning/huge_pages) so
   // BENCH files from NUMA and flat machines are distinguishable.
-  w.key("schema_version").value(std::int64_t{3});
+  // v4: adds the source commit (build.git_sha / build.dirty).
+  w.key("schema_version").value(std::int64_t{4});
   const MachineInfo machine = detect_machine();
   const mem::PhysicalTopology& topo = mem::system_topology();
   w.key("machine").begin_object();
@@ -129,6 +159,13 @@ void write_result_header(JsonWriter& w) {
 #else
   w.key("telemetry").value(false);
 #endif
+  // The commit the sources came from, and whether tracked files were
+  // modified against it: a BENCH number is only comparable to the code
+  // it was measured on.
+  const std::string sha = git_output("rev-parse HEAD");
+  w.key("git_sha").value(sha.empty() ? std::string("unknown") : sha);
+  w.key("dirty").value(
+      !git_output("status --porcelain --untracked-files=no").empty());
   w.end_object();
 }
 

@@ -61,9 +61,11 @@ class JsonWriter {
 ///   "machine": {cpu, logical_cpus, ram_mb, os, sockets,
 ///               topology_detected, pinning,
 ///               huge_pages: {thp_mode, supported}},
-///   "build": {compiler, build_type, telemetry}
+///   "build": {compiler, build_type, telemetry, git_sha, dirty}
 /// so every BENCH_*.json self-describes the environment it came from.
-/// v3 added the memory-topology block (DESIGN.md §13).
+/// v3 added the memory-topology block (DESIGN.md §13); v4 the source
+/// commit, read with git from the source tree at run time ("unknown"
+/// outside a checkout).
 void write_result_header(JsonWriter& w);
 
 }  // namespace optibfs

@@ -804,7 +804,12 @@ void ScaleoutService::run_kernel_queries(
         return epoch.base;
       },
       team_options(config_, claim.tenant->prefetch.kernel.distance),
-      rep.team.get(), rep.trace);
+      rep.team.get());
+  for (int i = 0; i < access.num_fills; ++i) {
+    const SharedKernelMemo::Access::Fill& timed =
+        access.fills[static_cast<std::size_t>(i)];
+    rep.trace.span_between(kEvKernelFill, timed.start, timed.end, timed.arg);
+  }
 
   std::uint64_t hits = 0;
   for (const QueuedQuery* pending : queries) {

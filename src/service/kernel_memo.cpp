@@ -53,8 +53,9 @@ std::optional<SharedKernelMemo::Source> SharedKernelMemo::find_source(
 SharedKernelMemo::Access SharedKernelMemo::ensure(
     bool need_components, bool need_core, bool need_rank,
     const GraphSnapshot& snapshot, const ViewFn& view, const BFSOptions& opts,
-    ThreadTeam& team, telemetry::ThreadTrace& trace) {
+    ThreadTeam& team) {
   Access access;
+  static_assert(std::tuple_size_v<decltype(access.fills)> == kFlavors);
   std::lock_guard lock(mutex_);
   carry_source_.store(true, std::memory_order_relaxed);
   access.components_hit = have_[kComponents];
@@ -80,12 +81,13 @@ SharedKernelMemo::Access SharedKernelMemo::ensure(
   }
   for (int f = 0; f < kFlavors; ++f) {
     if (!need[f] || have_[f]) continue;
-    const std::uint64_t t0 = trace.now();
+    Access::Fill& timed = access.fills[static_cast<std::size_t>(
+        access.num_fills++)];
+    timed.start = std::chrono::steady_clock::now();
     const bool carried = fill(static_cast<Flavor>(f), sources, snapshot, graph,
                               opts, team, access);
-    // arg: bit 0 = carried (1) or recomputed (0); bits 1+ = the flavor.
-    trace.span(telemetry::kEvKernelFill, t0,
-               static_cast<std::uint64_t>(f) * 2 + (carried ? 1 : 0));
+    timed.end = std::chrono::steady_clock::now();
+    timed.arg = static_cast<std::uint64_t>(f) * 2 + (carried ? 1 : 0);
   }
   release_link(sources);
   return access;

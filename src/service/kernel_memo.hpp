@@ -36,6 +36,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -50,7 +51,6 @@
 #include "graph/csr_graph.hpp"
 #include "graph/types.hpp"
 #include "runtime/thread_team.hpp"
-#include "telemetry/recorder.hpp"
 
 namespace optibfs {
 
@@ -79,6 +79,17 @@ class SharedKernelMemo {
     std::uint64_t carries = 0;     ///< carried from an earlier version
     /// Carries that fell back (past a bound); counted in recomputes too.
     std::uint64_t carry_fallbacks = 0;
+    /// The fills this call ran, in order, for the caller's
+    /// kEvKernelFill spans (the memo is shared by replicas, so it
+    /// records into no trace itself). arg: bit 0 = carried (1) or
+    /// recomputed (0); bits 1+ = the flavor.
+    struct Fill {
+      std::chrono::steady_clock::time_point start;
+      std::chrono::steady_clock::time_point end;
+      std::uint64_t arg = 0;
+    };
+    std::array<Fill, 3> fills{};  ///< one per flavor at most
+    int num_fills = 0;
   };
 
   /// Lazily materializes the graph view the kernel runs use (base CSR,
@@ -101,12 +112,11 @@ class SharedKernelMemo {
   /// `snapshot`, blocking concurrent callers on the same memo (they
   /// share the one fill instead of repeating it). Kernel runs go on the
   /// caller's `team` (a serving replica's); `opts` configures them
-  /// (prefetch_distance, pr_damping, pr_epsilon). Each fill records a
-  /// kEvKernelFill span on `trace`.
+  /// (prefetch_distance, pr_damping, pr_epsilon). Each fill is timed
+  /// into Access::fills.
   Access ensure(bool need_components, bool need_core, bool need_rank,
                 const GraphSnapshot& snapshot, const ViewFn& view,
-                const BFSOptions& opts, ThreadTeam& team,
-                telemetry::ThreadTrace& trace);
+                const BFSOptions& opts, ThreadTeam& team);
 
   // Accessors, valid for flavors a completed ensure() requested.
   const std::vector<vid_t>& components() const { return components_; }

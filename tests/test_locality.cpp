@@ -1,5 +1,7 @@
 // Locality layer (DESIGN.md §3.1a): vertex reordering, prefetched
-// scans, word-scan bottom-up, and the zero-alloc scratch arena.
+// scans, word-scan bottom-up, and the zero-alloc scratch arena; plus
+// the hybrid direction rule and the inlined top-down hot path, whose
+// work counters these tests pin down (DESIGN.md §3.1).
 //
 // The invariant under test everywhere: locality knobs must be
 // observationally invisible. Sources and results stay in original
@@ -14,9 +16,11 @@
 #include <vector>
 
 #include "core/bfs_serial.hpp"
+#include "core/direction_rule.hpp"
 #include "core/msbfs.hpp"
 #include "core/registry.hpp"
 #include "graph/generators.hpp"
+#include "graph/workloads.hpp"
 #include "harness/verifier.hpp"
 #include "service/bfs_service.hpp"
 
@@ -24,8 +28,10 @@ namespace optibfs {
 namespace {
 
 using telemetry::kBottomUpWordsSkipped;
+using telemetry::kDuplicatePops;
 using telemetry::kLevelsBottomUp;
 using telemetry::kPrefetchIssued;
+using telemetry::kRevisits;
 using telemetry::kScratchReuses;
 
 CsrGraph scale_free_graph() {
@@ -337,6 +343,116 @@ TEST(Arena, ServiceSteadyStateIsZeroAlloc) {
       << "steady-state queries allocated fresh scratch";
   EXPECT_EQ(steady.reuses, warm.reuses + kQueries);
   EXPECT_GT(steady.reuse_fraction(), 0.8);
+}
+
+TEST(DirectionRule, PlateauWobbleStaysTopDown) {
+  // n = 1000, m = 10000, alpha = 15, beta = 18: the alpha threshold
+  // starts near 667 frontier edges and falls as edges are explored.
+  DirectionRule rule(15, 18, 1000);
+  rule.reset(10000);
+  EXPECT_FALSE(rule.next(1, 10));
+  EXPECT_FALSE(rule.next(100, 600));
+  // A plateau that ticks up by 5% has enough frontier edges for the
+  // alpha rule, but it is not an expansion phase.
+  EXPECT_FALSE(rule.next(105, 2000));
+  EXPECT_FALSE(rule.next(110, 2100));
+  // Doubling with the edges to match enters bottom-up ...
+  EXPECT_TRUE(rule.next(220, 4000));
+  // ... which the beta rule holds while the frontier is >= n/beta = 55,
+  // then leaves.
+  EXPECT_TRUE(rule.next(60, 300));
+  EXPECT_FALSE(rule.next(54, 300));
+  EXPECT_FALSE(rule.next(0, 0));
+}
+
+TEST(DirectionRule, AlphaZeroNeverGoesBottomUpAndBetaZeroLeavesAtOnce) {
+  DirectionRule never(0, 18, 1000);
+  never.reset(10000);
+  EXPECT_FALSE(never.next(1, 5000));
+  EXPECT_FALSE(never.next(500, 9000));
+
+  DirectionRule once(15, 0, 1000);
+  once.reset(10000);
+  EXPECT_TRUE(once.next(1, 5000));
+  EXPECT_FALSE(once.next(900, 5000));
+}
+
+// The mesh classes' frontier plateaus for most of the traversal. Under
+// the old "bigger than last level" guard every uptick fired a one-level
+// bottom-up excursion (about 4.4 per source on freescale, 2 on cage15),
+// rescanning the in-edges of every unvisited vertex.
+TEST(DirectionRule, MeshesRunNoBottomUpLevel) {
+  for (const char* name : {"freescale", "cage15"}) {
+    const Workload w = make_workload(name, WorkloadConfig{});
+    const CsrGraph& g = w.graph;
+    const BFSResult oracle = bfs_serial(g, 0);
+    ASSERT_EQ(oracle.vertices_visited, g.num_vertices())
+        << name << ": source 0 must reach every vertex";
+    for (const int p : {1, 4}) {
+      BFSOptions options;
+      options.num_threads = p;
+      auto engine = make_bfs("BFS_CL_H", g, options);
+      const BFSResult r = engine->run(0);
+      EXPECT_EQ(r.level, oracle.level) << name << " p=" << p;
+      EXPECT_EQ(r.bottom_up_levels, 0u) << name << " p=" << p;
+      // One thread scans every edge exactly once; a team may scan more
+      // through optimistic duplicates.
+      if (p == 1) {
+        EXPECT_EQ(r.edges_scanned, g.num_edges()) << name;
+      } else {
+        EXPECT_GE(r.edges_scanned, g.num_edges()) << name;
+      }
+    }
+  }
+}
+
+TEST(DirectionRule, DenseRmatStillGoesBottomUp) {
+  const CsrGraph g = dense_rmat();
+  BFSOptions options;
+  options.num_threads = 4;
+  auto engine = make_bfs("BFS_CL_H", g, options);
+  const BFSResult r = engine->run(1);
+  EXPECT_EQ(r.level, bfs_serial(g, 1).level);
+  EXPECT_GT(r.bottom_up_levels, 0u);
+
+  options.direction_mode = DirectionMode::kHybrid;
+  MsBfsSession session(g, options);
+  const MsBfsResult wave = session.run({1, 2, 3, 4});
+  EXPECT_GT(wave.bottom_up_levels, 0u);
+  const BFSResult oracle = bfs_serial(g, 3);
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(wave.distance_of(2, v), oracle.level[v]);
+  }
+}
+
+// The drain loops tally their counters in locals and add them to the
+// slab once per segment or neighbor range. These identities fail if a
+// tally is dropped or added twice.
+TEST(HotPath, CountersKeepTheirIdentities) {
+  const CsrGraph g = scale_free_graph();
+  const vid_t source = 1;
+  const BFSResult oracle = bfs_serial(g, source);
+  for (const char* algo : {"BFS_C", "BFS_CL", "BFS_DL", "BFS_WL", "BFS_WSL"}) {
+    for (const std::int64_t cutoff : {0, 64}) {
+      BFSOptions options;
+      options.alpha = 0;  // top-down only
+      options.serial_frontier_cutoff = cutoff;
+      options.num_threads = 1;
+      const BFSResult one = make_bfs(algo, g, options)->run(source);
+      ASSERT_EQ(one.level, oracle.level) << algo;
+      EXPECT_EQ(one.vertices_explored, one.vertices_visited) << algo;
+      EXPECT_EQ(one.counters[kRevisits],
+                one.edges_scanned - (one.vertices_visited - 1))
+          << algo << " cutoff=" << cutoff;
+      EXPECT_EQ(one.counters[kDuplicatePops], 0u) << algo;
+
+      options.num_threads = 4;
+      const BFSResult team = make_bfs(algo, g, options)->run(source);
+      ASSERT_EQ(team.level, oracle.level) << algo;
+      EXPECT_LE(team.counters[kRevisits], team.edges_scanned) << algo;
+      EXPECT_GE(team.vertices_explored, team.vertices_visited) << algo;
+    }
+  }
 }
 
 }  // namespace
