@@ -31,6 +31,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -202,12 +203,10 @@ int main(int argc, char** argv) {
 
   const std::string json = bench::json_path("oocore", argc, argv);
   if (!json.empty()) {
-    std::ofstream out(json);
-    if (!out) {
-      std::cerr << "cannot write '" << json << "'\n";
-      return 1;
-    }
-    JsonWriter w(out);
+    // Rendered before the file is opened, so the header's git stamp
+    // does not see a truncated tracked BENCH file as a dirty tree.
+    std::ostringstream body;
+    JsonWriter w(body);
     w.begin_object();
     write_result_header(w);
     w.key("bench").value("oocore");
@@ -236,7 +235,12 @@ int main(int argc, char** argv) {
     }
     w.end_array();
     w.end_object();
-    out << '\n';
+    body << '\n';
+    std::ofstream out(json);
+    if (!out || !(out << body.str())) {
+      std::cerr << "cannot write '" << json << "'\n";
+      return 1;
+    }
     std::cout << "\nwrote " << json << "\n";
   }
 

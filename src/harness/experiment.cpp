@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "core/registry.hpp"
 #include "harness/json_writer.hpp"
@@ -15,9 +16,11 @@ namespace optibfs {
 bool write_cells_json(const std::string& path, const std::string& bench_name,
                       const std::vector<ExperimentCell>& cells,
                       const std::string& summary_json) {
-  std::ofstream out(path);
-  if (!out) return false;
-  JsonWriter w(out);
+  // Rendered before the file is opened: opening truncates it, and a
+  // truncated tracked BENCH file would make the header's git stamp
+  // read dirty.
+  std::ostringstream body;
+  JsonWriter w(body);
   w.begin_object();
   write_result_header(w);
   w.key("bench").value(bench_name);
@@ -42,7 +45,10 @@ bool write_cells_json(const std::string& path, const std::string& bench_name,
   }
   w.end_array();
   w.end_object();
-  out << "\n";
+  body << "\n";
+  std::ofstream out(path);
+  if (!out) return false;
+  out << body.str();
   return static_cast<bool>(out);
 }
 
