@@ -1,4 +1,4 @@
-// The top-down / bottom-up switch of the hybrid engines (DESIGN.md §3.1).
+// The top-down / bottom-up switch of the hybrid engines (DESIGN.md §3.3a).
 //
 // One rule serves every level-synchronous traversal that direction-
 // optimizes: the single-source hybrid engines (BFSEngineBase, the `_H`
@@ -28,9 +28,9 @@ class DirectionRule {
   /// growth guard exists to catch the expansion phase of a low-diameter
   /// graph, where the frontier multiplies level after level. A mesh's
   /// frontier instead plateaus and wobbles by a few percent; with a bare
-  /// "bigger than last level" guard every uptick fired a one-level
+  /// "bigger than last level" guard every uptick fires a one-level
   /// bottom-up excursion (an O(n) frontier-bitmap rebuild plus an in-edge
-  /// scan of every unvisited vertex) that the beta rule undid at once.
+  /// scan of every unvisited vertex) that the beta rule undoes at once.
   static constexpr std::int64_t kGrowthFactor = 2;
 
   /// alpha == 0 never goes bottom-up; beta == 0 leaves bottom-up after
