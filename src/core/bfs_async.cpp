@@ -339,7 +339,7 @@ void AsyncBFS::expand_item(Worker& w, std::uint64_t item) {
     }
     const int settled = settle_min(u, nd, v);
     if (settled == 0) {
-      ++w.ctr[kAsyncWastedRelaxations];  // lost the settle race
+      ++w.ctr[kAsyncLostSettles];  // edge-level: lost the settle race
       continue;
     }
     if (settled == 2) ++w.ctr[kAsyncRequeues];

@@ -10,6 +10,24 @@
 
 namespace optibfs {
 
+namespace {
+
+/// Drops one masked pair from `v`'s count; `v` leaves with its last.
+void drop_masked(std::unordered_map<vid_t, std::uint32_t>& count, vid_t v) {
+  const auto it = count.find(v);
+  if (--it->second == 0) count.erase(it);
+}
+
+/// Takes one copy of `w` out of `v`'s spill list; an emptied list goes.
+void drop_spill(std::unordered_map<vid_t, std::vector<vid_t>>& spill, vid_t v,
+                vid_t w) {
+  const auto it = spill.find(v);
+  it->second.erase(std::find(it->second.begin(), it->second.end(), w));
+  if (it->second.empty()) spill.erase(it);
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // GraphSnapshot
 // ---------------------------------------------------------------------------
@@ -53,6 +71,55 @@ EdgeList GraphSnapshot::to_edge_list() const {
   return out;
 }
 
+CsrGraph GraphSnapshot::flatten() const {
+  const vid_t n = num_vertices();
+  if (n == 0) return CsrGraph::from_edges(EdgeList(0));
+  const CsrGraph& g = *base_;
+  const eid_t* base_off = g.offsets().data();
+  const vid_t* base_tgt = g.targets().data();
+
+  // The dirty vertices in internal order, closed by the sentinel n.
+  std::vector<vid_t> dirty;
+  if (delta_ != nullptr) {
+    for (const auto& entry : delta_->extra_out) {
+      dirty.push_back(g.to_internal(entry.first));
+    }
+    for (const auto& entry : delta_->deleted_sources) {
+      dirty.push_back(g.to_internal(entry.first));
+    }
+    std::sort(dirty.begin(), dirty.end());
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  }
+  dirty.push_back(n);
+
+  std::vector<eid_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (vid_t v = 0, i = 0; v < n; ++v) {
+    const vid_t degree =
+        v == dirty[i] ? out_degree(g.to_original(dirty[i++])) : g.out_degree(v);
+    offsets[v + 1] = offsets[v] + degree;
+  }
+  // Each run of clean rows is one block of the base's target array; a
+  // dirty row is rebuilt through for_each_out (the one definition of a
+  // CSR ∪ delta row) and sorted.
+  std::vector<vid_t> targets(offsets[n]);
+  vid_t clean = 0;
+  for (const vid_t d : dirty) {
+    std::copy(base_tgt + base_off[clean], base_tgt + base_off[d],
+              targets.data() + offsets[clean]);
+    if (d == n) break;
+    vid_t* const row = targets.data() + offsets[d];
+    vid_t* end = row;
+    for_each_out(g.to_original(d), [&](vid_t w) { *end++ = g.to_internal(w); });
+    std::sort(row, end);
+    clean = d + 1;
+  }
+  return CsrGraph::from_storage(
+      std::make_shared<storage::HeapStorage>(std::move(offsets),
+                                             std::move(targets)),
+      std::vector<vid_t>(g.perm().begin(), g.perm().end()),
+      std::vector<vid_t>(g.inv_perm().begin(), g.inv_perm().end()));
+}
+
 // ---------------------------------------------------------------------------
 // DynamicGraph
 // ---------------------------------------------------------------------------
@@ -91,7 +158,8 @@ BatchSummary DynamicGraph::apply(const UpdateBatch& batch) {
   // Copy-on-write: published overlays are immutable, so mutate a copy
   // and publish it wholesale. Untouched spill vectors share nothing
   // with readers after the copy, and the copy cost is bounded by the
-  // compaction threshold.
+  // compaction threshold — the overlay holds only the live delta (see
+  // DeltaOverlay), so undone updates leave nothing behind to copy.
   auto next = delta_ ? std::make_shared<DeltaOverlay>(*delta_)
                      : std::make_shared<DeltaOverlay>();
 
@@ -111,6 +179,8 @@ BatchSummary DynamicGraph::apply(const UpdateBatch& batch) {
         // copies come back — deletion removed them all).
         next->deleted.erase(DeltaOverlay::edge_key(u, v));
         next->deleted_base_copies -= base_multiplicity(u, v);
+        drop_masked(next->deleted_sources, u);
+        drop_masked(next->deleted_targets, v);
         summary.inserts.emplace_back(u, v);
         ++summary.inserted;
       } else if (current_has_edge_in(*next, u, v)) {
@@ -129,17 +199,16 @@ BatchSummary DynamicGraph::apply(const UpdateBatch& batch) {
           std::find(it->second.begin(), it->second.end(), v) !=
               it->second.end()) {
         // Spilled insert taken back: remove one copy from both sides.
-        it->second.erase(std::find(it->second.begin(), it->second.end(), v));
-        auto& in = next->extra_in[v];
-        in.erase(std::find(in.begin(), in.end(), u));
+        drop_spill(next->extra_out, u, v);
+        drop_spill(next->extra_in, v, u);
         --next->spill_edges;
         summary.deletes.emplace_back(u, v);
         ++summary.erased;
       } else if (!next->is_deleted(u, v) &&
                  base_->has_edge(base_->to_internal(u), base_->to_internal(v))) {
         next->deleted.insert(DeltaOverlay::edge_key(u, v));
-        next->deleted_sources.insert(u);
-        next->deleted_targets.insert(v);
+        ++next->deleted_sources[u];
+        ++next->deleted_targets[v];
         next->deleted_base_copies += base_multiplicity(u, v);
         summary.deletes.emplace_back(u, v);
         ++summary.erased;

@@ -9,8 +9,10 @@
 //   * inserted edges live in per-vertex spill lists (CSR ∪ delta reads
 //     walk the CSR adjacency, then the spill);
 //   * deleted edges are masked by a hash set consulted only for source
-//     vertices that actually lost an edge (a per-source flag set keeps
+//     vertices that actually lost an edge (a per-source count keeps
 //     clean vertices on the zero-cost path);
+//   * kernels read one flattened heap CSR per version (flatten(): clean
+//     rows block-copied, dirty rows rebuilt), not the overlay;
 //   * once the delta outgrows a configurable fraction of the base edge
 //     count, apply() compacts: base ∪ delta is flattened back through
 //     EdgeList and re-run through CsrGraph::reorder, so the configured
@@ -84,15 +86,23 @@ struct BatchSummary {
 
 /// Immutable delta published by one apply(). Readers hold it through a
 /// GraphSnapshot; the mutator never modifies a published overlay.
+///
+/// Invariant: the overlay holds only the live delta. A spill list is
+/// never empty (taking back a vertex's last spilled insert erases its
+/// entry), and a vertex is in `deleted_sources` / `deleted_targets`
+/// exactly while it is the source / target of some masked pair, the
+/// count being how many. apply() copies the whole overlay, so keys left
+/// behind by undone updates would grow every later apply's cost.
 struct DeltaOverlay {
   /// Inserted edges, spilled per source / per target (original IDs).
   std::unordered_map<vid_t, std::vector<vid_t>> extra_out;
   std::unordered_map<vid_t, std::vector<vid_t>> extra_in;
   /// Masked base edges, keyed (src << 32 | dst); `deleted_sources` /
-  /// `deleted_targets` let clean vertices skip the hash probe entirely.
+  /// `deleted_targets` count the masked pairs per source / per target,
+  /// so clean vertices skip the hash probe entirely.
   std::unordered_set<std::uint64_t> deleted;
-  std::unordered_set<vid_t> deleted_sources;
-  std::unordered_set<vid_t> deleted_targets;
+  std::unordered_map<vid_t, std::uint32_t> deleted_sources;
+  std::unordered_map<vid_t, std::uint32_t> deleted_targets;
   std::uint64_t spill_edges = 0;          ///< live inserted edges
   std::uint64_t deleted_base_copies = 0;  ///< base edges masked (multi-edges count each)
 
@@ -121,6 +131,8 @@ class GraphSnapshot {
   const CsrGraph& base() const { return *base_; }
   std::uint64_t version() const { return version_; }
   bool has_delta() const { return delta_ != nullptr && !delta_->empty(); }
+  /// The overlay this snapshot reads (null when the version is clean).
+  const DeltaOverlay* delta() const { return delta_.get(); }
 
   vid_t num_vertices() const { return base_ ? base_->num_vertices() : 0; }
   eid_t num_edges() const {
@@ -184,6 +196,15 @@ class GraphSnapshot {
   /// Flattens CSR ∪ delta into an edge list in original IDs (oracle
   /// tests, compaction).
   EdgeList to_edge_list() const;
+
+  /// CSR ∪ delta as one heap CsrGraph in the base's internal vertex
+  /// order, carrying the base's permutation, built in one linear pass:
+  /// clean rows are block-copied from the base, and only the dirty
+  /// vertices' rows (live spill sources and sources of a masked pair)
+  /// are rebuilt and sorted. Equal to CsrGraph::from_edges(
+  /// to_edge_list()) relabeled through the base's permutation. The
+  /// kernel view of a version with a live delta.
+  CsrGraph flatten() const;
 
  private:
   template <class F>

@@ -67,13 +67,17 @@ void PageRankDeltaKernel::push(KernelResult& out) {
   sub_.parallel([&](int tid) {
     std::uint64_t* c = sub_.ctr(tid);
     double* my_slab = use_rmw_ ? nullptr : slab_[static_cast<std::size_t>(tid)].data();
+    const auto [own_b, own_e] = sub_.owned(tid);
     int local_rounds = 0;
     sub_.barrier(tid);  // publish the serial init
 
     for (;;) {
       // Push phase: owners drain their own residuals. In the slab
       // variant every store below lands in thread-private memory or
-      // owner-only arrays — no shared-write exists at all.
+      // owner-only arrays — no shared-write exists at all: a share for
+      // a vertex in the pusher's own slice goes straight into its
+      // residual (the pusher is that cell's only writer until the
+      // barrier), so it can be pushed on later this same round.
       std::uint64_t pushed = 0;
       sub_.for_owned(tid, [&](vid_t v) {
         double r;
@@ -100,6 +104,8 @@ void PageRankDeltaKernel::push(KernelResult& out) {
         for (vid_t w : nbrs) {
           if (use_rmw_)
             atomic_add(residual_[w], share, c);
+          else if (w >= own_b && w < own_e)
+            residual_[w] += share;
           else
             my_slab[w] += share;
         }
@@ -113,14 +119,15 @@ void PageRankDeltaKernel::push(KernelResult& out) {
 
       if (!use_rmw_) {
         // Barrier-window reduction: each owner folds its vertex slice
-        // across every thread's slab and re-zeroes the cells it read.
+        // across every other thread's slab (its own never holds a share
+        // for its own slice) and re-zeroes the cells it read.
         // reduce_sum's closing barrier separates this phase from the
         // pushes; the barrier below separates it from the next round's
         // pushes — every cross-thread slab access is quiescent.
-        const auto [b, e] = sub_.owned(tid);
         for (int t = 0; t < p; ++t) {
+          if (t == tid) continue;
           double* s = slab_[static_cast<std::size_t>(t)].data();
-          for (vid_t v = b; v < e; ++v) {
+          for (vid_t v = own_b; v < own_e; ++v) {
             residual_[v] += s[v];
             s[v] = 0.0;
           }

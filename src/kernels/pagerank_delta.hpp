@@ -14,20 +14,28 @@
 // every residual stays positive, so work only ever moves mass forward
 // and the kernel is the suite's cleanest monotone citizen.
 //
-// PRDELTA (optimistic): contributions accumulate into per-thread
-// cache-line-independent rank slabs with PLAIN stores — each slab has
-// exactly one writer during the push phase, exactly the flight
+// PRDELTA (optimistic), the writer rule: during the push phase every
+// residual cell has exactly one writer, the owner of its vertex's
+// degree-balanced slice. A share for a vertex in the pusher's own
+// slice goes straight into its residual with a PLAIN store (in place:
+// a vertex later in the slice pushes it on this same round), and a
+// share for any other slice accumulates into the pusher's private
+// cache-line-independent slab — exactly one writer again, the flight
 // recorder's counter pattern lifted to doubles. At the barrier window
-// the slabs are reduced owner-computes (each owner folds its vertex
-// slice across all slabs and re-zeroes it), so the reduction is exact
-// and race-free. The entire kernel runs with ZERO atomics outside the
-// barriers themselves — stricter even than relaxed plain stores.
+// the slabs are reduced owner-computes (each owner folds its slice
+// across the other threads' slabs and re-zeroes it), so the reduction
+// is exact and race-free. The entire kernel runs with ZERO atomics
+// outside the barriers themselves — stricter even than relaxed plain
+// stores. With one thread every share is in place, so the schedule is
+// exactly PRDELTA_RMW's, without the RMW.
 //
 // PRDELTA_RMW (ablation): contributions go straight into the shared
 // residual array through compare-exchange add loops, and owners drain
 // with an atomic exchange — the textbook contended-accumulator
 // design. Same fixpoint (within epsilon slack); bench_kernels
-// measures the RMW traffic against the slab reduction.
+// measures the RMW traffic against the slab reduction. With more than
+// one thread the two also differ in schedule: a cross-slice share is
+// visible at once to PRDELTA_RMW and only after the fold to PRDELTA.
 #pragma once
 
 #include "core/bfs_options.hpp"
@@ -65,7 +73,7 @@ class PageRankDeltaKernel final : public GraphKernel {
   KernelSubstrate sub_;
   std::vector<double> rank_;
   std::vector<double> residual_;
-  std::vector<std::vector<double>> slab_;  // [thread][vertex]
+  std::vector<std::vector<double>> slab_;  // [thread][vertex], cross-slice shares
 };
 
 }  // namespace optibfs::kernels

@@ -792,14 +792,14 @@ void ScaleoutService::run_kernel_queries(
   // blocks on the memo mutex and wakes to a filled result. A fill
   // carries the previous version's answer when the memo is linked (CC
   // and KCORE walk the snapshot); a kernel run on a live delta overlay
-  // runs on CSR ∪ delta, flattened once per fill.
+  // runs on CSR ∪ delta, flattened once per fill in one linear pass
+  // (GraphSnapshot::flatten, in the base's vertex order).
   Replica& rep = *replicas_[static_cast<std::size_t>(r)];
   const SharedKernelMemo::Access access = epoch.kernels->ensure(
       need_cc, need_core, need_rank, epoch.snapshot,
       [&]() -> std::shared_ptr<const CsrGraph> {
         if (epoch.snapshot.has_delta()) {
-          return std::make_shared<const CsrGraph>(
-              CsrGraph::from_edges(epoch.snapshot.to_edge_list()));
+          return std::make_shared<const CsrGraph>(epoch.snapshot.flatten());
         }
         return epoch.base;
       },

@@ -66,6 +66,7 @@ namespace optibfs::telemetry {
   X(kScratchReuses,            "scratch_reuses")                             \
   /* asynchronous family (DESIGN.md section 10) */                           \
   X(kAsyncWastedRelaxations,   "async_wasted_relaxations")                   \
+  X(kAsyncLostSettles,         "async_lost_settles")                         \
   X(kAsyncRequeues,            "async_requeues")                             \
   X(kAsyncStealRounds,         "async_steal_rounds")                         \
   X(kAsyncTerminationRounds,   "async_termination_rounds")                   \

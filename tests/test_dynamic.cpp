@@ -107,6 +107,69 @@ TEST(DynamicGraph, NoopBatchKeepsFingerprint) {
   EXPECT_EQ(dyn.version(), 1u);               // version still bumps
 }
 
+TEST(DynamicGraph, OverlayHoldsOnlyTheLiveDelta) {
+  // Every apply copies the whole overlay, so an undone update must
+  // leave no key behind: a spill list goes with its last edge, and a
+  // vertex leaves the masked-source / masked-target counts with its
+  // last masked pair (here a doubled base edge and a self-loop).
+  EdgeList el(6);
+  el.add_unchecked(0, 1);
+  el.add_unchecked(0, 1);
+  el.add_unchecked(0, 2);
+  el.add_unchecked(3, 3);
+  DynamicGraph::Config config;
+  config.compact_threshold = 10.0;  // tiny graph: keep the overlay live
+  DynamicGraph dyn(make_graph(el), config);
+
+  UpdateBatch first;
+  first.insert(4, 5);
+  first.insert(4, 0);
+  first.insert(2, 5);
+  first.erase(0, 1);  // both copies masked
+  first.erase(0, 2);
+  first.erase(3, 3);
+  dyn.apply(first);
+  const DeltaOverlay* live = dyn.snapshot().delta();
+  ASSERT_NE(live, nullptr);
+  EXPECT_EQ(live->extra_out.size(), 2u);
+  EXPECT_EQ(live->extra_in.size(), 2u);
+  EXPECT_EQ(live->deleted_sources.at(0), 2u);
+  EXPECT_EQ(live->deleted_targets.at(3), 1u);
+
+  UpdateBatch undo;
+  undo.erase(4, 5);
+  undo.erase(4, 0);
+  undo.insert(0, 1);  // re-insert of a masked base edge
+  undo.insert(3, 3);
+  dyn.apply(undo);
+  const GraphSnapshot snap = dyn.snapshot();
+  const DeltaOverlay& d = *snap.delta();
+  EXPECT_EQ(d.extra_out.count(4), 0u);
+  EXPECT_EQ(d.extra_in.count(0), 0u);
+  EXPECT_EQ(d.extra_in.count(5), 1u);  // 2 -> 5 is still live
+  EXPECT_EQ(d.extra_out.size(), 1u);
+  EXPECT_EQ(d.deleted_sources.at(0), 1u);  // 0 -> 2 is still masked
+  EXPECT_EQ(d.deleted_sources.count(3), 0u);
+  EXPECT_EQ(d.deleted_targets.count(1), 0u);
+  EXPECT_EQ(d.deleted_targets.count(3), 0u);
+  EXPECT_EQ(d.deleted_targets.size(), 1u);
+  EXPECT_EQ(d.spill_edges, 1u);
+  EXPECT_EQ(d.deleted_base_copies, 1u);
+  EXPECT_EQ(sorted_out(snap, 0), (std::vector<vid_t>{1, 1}));
+  EXPECT_EQ(sorted_out(snap, 3), std::vector<vid_t>{3});
+
+  UpdateBatch rest;
+  rest.erase(2, 5);
+  rest.insert(0, 2);
+  dyn.apply(rest);
+  const DeltaOverlay& empty = *dyn.snapshot().delta();
+  EXPECT_TRUE(empty.extra_out.empty());
+  EXPECT_TRUE(empty.extra_in.empty());
+  EXPECT_TRUE(empty.deleted_sources.empty());
+  EXPECT_TRUE(empty.deleted_targets.empty());
+  EXPECT_FALSE(dyn.has_delta());
+}
+
 TEST(DynamicGraph, OutOfRangeUpdateThrows) {
   EdgeList el(3);
   el.add_unchecked(0, 1);

@@ -11,8 +11,12 @@
 // and so do answers carried from one graph version to the next.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <random>
 #include <string>
@@ -20,6 +24,7 @@
 
 #include "dynamic/dynamic_graph.hpp"
 #include "graph/generators.hpp"
+#include "graph/graph_io.hpp"
 #include "kernels/carry.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/pagerank_delta.hpp"
@@ -637,6 +642,178 @@ TEST(KernelCarry, DamagePastTheBoundRecomputes) {
   EXPECT_EQ(stats.kernel_carries, 0u);
   EXPECT_EQ(stats.kernel_carry_fallbacks, 2u);
   EXPECT_EQ(stats.kernel_recomputes, 3u + 2u);
+}
+
+// ---- the kernel view of a live delta, and the PRDELTA writer rule ----
+
+/// flatten()'s oracle: CSR ∪ delta through the edge list, rebuilt by
+/// from_edges and relabeled into the base's internal order.
+CsrGraph flatten_oracle(const GraphSnapshot& snap) {
+  EdgeList el = snap.to_edge_list();
+  const CsrGraph& base = snap.base();
+  if (base.is_reordered()) {
+    el.relabel(std::vector<vid_t>(base.perm().begin(), base.perm().end()));
+  }
+  return CsrGraph::from_edges(el);
+}
+
+void expect_flatten_matches(const GraphSnapshot& snap, const std::string& ctx) {
+  const CsrGraph flat = snap.flatten();
+  const CsrGraph want = flatten_oracle(snap);
+  const CsrGraph& base = snap.base();
+  EXPECT_EQ(flat.storage_kind(), storage::StorageKind::kHeap) << ctx;
+  ASSERT_EQ(flat.num_vertices(), want.num_vertices()) << ctx;
+  ASSERT_EQ(flat.num_edges(), snap.num_edges()) << ctx;
+  ASSERT_TRUE(std::ranges::equal(flat.offsets(), want.offsets())) << ctx;
+  ASSERT_TRUE(std::ranges::equal(flat.targets(), want.targets())) << ctx;
+  for (vid_t v = 0; v < flat.num_vertices(); ++v) {
+    ASSERT_TRUE(std::ranges::is_sorted(flat.out_neighbors(v)))
+        << ctx << " row " << v;
+  }
+  ASSERT_TRUE(std::ranges::equal(flat.perm(), base.perm())) << ctx;
+  ASSERT_TRUE(std::ranges::equal(flat.inv_perm(), base.inv_perm())) << ctx;
+  EXPECT_EQ(flat.max_out_degree(), want.max_out_degree()) << ctx;
+}
+
+TEST(KernelView, FlattenEqualsTheEdgeListRebuild) {
+  // Plain, hub-clustered and mmap'd hub-clustered bases, through
+  // batches of spills, self-loops, masked multi-edges and their
+  // re-inserts, plus take-backs of earlier spills.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       (std::to_string(::getpid()) + "_optibfs_flatten.bin"))
+          .string();
+  const EdgeList edges = carry_base(2000, 6000, 73);
+  io::write_binary_csr(
+      path, CsrGraph::from_edges(edges).reorder(ReorderPolicy::kHubCluster));
+  io::CsrLoadOptions load;
+  load.storage = storage::StorageKind::kMmap;
+  std::vector<std::pair<std::string, std::shared_ptr<const CsrGraph>>> bases;
+  bases.emplace_back("none",
+                     std::make_shared<const CsrGraph>(CsrGraph::from_edges(edges)));
+  bases.emplace_back("hub_cluster", std::make_shared<const CsrGraph>(
+                                        CsrGraph::from_edges(edges).reorder(
+                                            ReorderPolicy::kHubCluster)));
+  bases.emplace_back("hub_cluster_mmap", std::make_shared<const CsrGraph>(
+                                             io::read_binary_csr(path, load)));
+  std::remove(path.c_str());
+  ASSERT_EQ(bases.back().second->storage_kind(), storage::StorageKind::kMmap);
+
+  for (const auto& [name, base] : bases) {
+    DynamicGraph::Config config;
+    config.compact_threshold = 0.0;  // keep every delta live
+    DynamicGraph dyn(base, config);
+    ASSERT_NO_FATAL_FAILURE(expect_flatten_matches(dyn.snapshot(), name + " clean"));
+
+    std::mt19937_64 rng(9);
+    std::vector<std::pair<vid_t, vid_t>> spilled;
+    bool saw_spill = false, saw_mask = false, saw_take_back = false;
+    for (int version = 1; version <= 16; ++version) {
+      const GraphSnapshot prev = dyn.snapshot();
+      UpdateBatch batch = carry_batch(prev, rng, 24);
+      for (int k = 0; k < 3 && !spilled.empty(); ++k) {
+        const std::size_t i = rng() % spilled.size();
+        batch.erase(spilled[i].first, spilled[i].second);
+        spilled.erase(spilled.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+      const BatchSummary summary = dyn.apply(batch);
+      spilled.insert(spilled.end(), summary.inserts.begin(), summary.inserts.end());
+      const GraphSnapshot snap = dyn.snapshot();
+      ASSERT_NO_FATAL_FAILURE(
+          expect_flatten_matches(snap, name + " version " + std::to_string(version)));
+      ASSERT_NE(snap.delta(), nullptr);
+      saw_spill |= snap.delta()->spill_edges > 0;
+      saw_mask |= snap.delta()->deleted_base_copies > 0;
+      for (const auto& [u, v] : summary.deletes) {
+        if (prev.delta() == nullptr) continue;
+        const auto it = prev.delta()->extra_out.find(u);
+        saw_take_back |= it != prev.delta()->extra_out.end() &&
+                         std::ranges::find(it->second, v) != it->second.end();
+      }
+    }
+    EXPECT_TRUE(saw_spill && saw_mask && saw_take_back) << name;
+  }
+}
+
+/// max over v of |r - ((1-d)·1 + d·Pᵀrank - rank)| (dangling mass
+/// dropped), ranks and residuals in original ids.
+double invariant_gap(const CsrGraph& g, const KernelResult& pr, double d) {
+  const vid_t n = g.num_vertices();
+  std::vector<double> want(n, 1.0 - d);
+  for (vid_t u = 0; u < n; ++u) {
+    const auto nbrs = g.out_neighbors(u);
+    if (nbrs.empty()) continue;
+    const double share =
+        d * pr.rank[g.to_original(u)] / static_cast<double>(nbrs.size());
+    for (const vid_t w : nbrs) want[g.to_original(w)] += share;
+  }
+  double gap = 0.0;
+  for (vid_t v = 0; v < n; ++v) {
+    gap = std::max(gap, std::abs(want[v] - pr.rank[v] - pr.residual[v]));
+  }
+  return gap;
+}
+
+TEST(KernelPrDelta, OneThreadScheduleIsTheRmwSchedule) {
+  // One thread owns every vertex, so every PRDELTA share is pushed in
+  // place: the schedule is PRDELTA_RMW's, round for round and bit for
+  // bit, with no RMW issued.
+  const CsrGraph g = CsrGraph::from_edges(gen::rmat(12, 8, 21));
+  const BFSOptions opts = kernel_options(1);
+  const KernelResult slab = run_kernel("PRDELTA", g, opts);
+  const KernelResult rmw = run_kernel("PRDELTA_RMW", g, opts);
+  EXPECT_EQ(slab.rounds, rmw.rounds);
+  EXPECT_TRUE(slab.rank == rmw.rank);
+  EXPECT_TRUE(slab.residual == rmw.residual);
+  EXPECT_EQ(slab.counters[kKernelRmwOps], 0u);
+  EXPECT_GT(rmw.counters[kKernelRmwOps], 0u);
+}
+
+TEST(KernelPrDelta, InPlacePushesKeepTheInvariant) {
+  // From scratch and from a carried state (residuals of both signs),
+  // on a plain and a reordered graph, at every thread count: at exit
+  // r = (1-d)·1 + d·Pᵀrank - rank still holds and every |r| <= epsilon.
+  const auto plain = std::make_shared<const CsrGraph>(
+      CsrGraph::from_edges(carry_base(3000, 15000, 29)));
+  const auto hubs =
+      std::make_shared<const CsrGraph>(plain->reorder(ReorderPolicy::kHubCluster));
+  for (const int p : {1, 2, 4}) {
+    const BFSOptions opts = kernel_options(p);
+    for (const auto& g : {plain, hubs}) {
+      const std::string ctx = "p=" + std::to_string(p) +
+                              (g->is_reordered() ? " hub_cluster" : " none");
+      const KernelResult scratch = run_kernel("PRDELTA", *g, opts);
+      EXPECT_LT(invariant_gap(*g, scratch, opts.pr_damping), 1e-9) << ctx;
+      ASSERT_NO_FATAL_FAILURE(
+          expect_matches_reference("PRDELTA", *g, scratch, opts, ctx));
+
+      // Carry the answer onto a graph with one hub's out-edges gone.
+      DynamicGraph dyn(g);
+      UpdateBatch batch;
+      const GraphSnapshot before = dyn.snapshot();
+      before.for_each_out(0, [&](vid_t w) { batch.erase(0, w); });
+      for (vid_t v = 1; v < 40; ++v) batch.insert(v, 0);
+      const BatchSummary summary = dyn.apply(batch);
+      const GraphSnapshot after = dyn.snapshot();
+      std::vector<std::pair<vid_t, vid_t>> touched = summary.inserts;
+      touched.insert(touched.end(), summary.deletes.begin(), summary.deletes.end());
+      std::vector<double> residual = scratch.residual;
+      kernels::carry_residual(before, after,
+                              kernels::net_changes(before, after, touched),
+                              opts.pr_damping, scratch.rank, residual);
+      const CsrGraph flat = after.flatten();
+      KernelResult carried;
+      kernels::PageRankDeltaKernel(flat, opts, /*use_rmw=*/false,
+                                   TeamHandle(p, false))
+          .run_from(scratch.rank, std::move(residual), carried);
+      EXPECT_LT(invariant_gap(flat, carried, opts.pr_damping), 1e-9) << ctx;
+      for (vid_t v = 0; v < flat.num_vertices(); ++v) {
+        ASSERT_LE(std::abs(carried.residual[v]), opts.pr_epsilon) << ctx << " " << v;
+      }
+      ASSERT_NO_FATAL_FAILURE(
+          expect_matches_reference("PRDELTA", flat, carried, opts, ctx + " carried"));
+    }
+  }
 }
 
 }  // namespace
