@@ -129,7 +129,8 @@ TEST(DynamicGraph, OverlayHoldsOnlyTheLiveDelta) {
   first.erase(0, 2);
   first.erase(3, 3);
   dyn.apply(first);
-  const DeltaOverlay* live = dyn.snapshot().delta();
+  const GraphSnapshot first_snap = dyn.snapshot();
+  const DeltaOverlay* live = first_snap.delta();
   ASSERT_NE(live, nullptr);
   EXPECT_EQ(live->extra_out.size(), 2u);
   EXPECT_EQ(live->extra_in.size(), 2u);
@@ -162,7 +163,8 @@ TEST(DynamicGraph, OverlayHoldsOnlyTheLiveDelta) {
   rest.erase(2, 5);
   rest.insert(0, 2);
   dyn.apply(rest);
-  const DeltaOverlay& empty = *dyn.snapshot().delta();
+  const GraphSnapshot last = dyn.snapshot();
+  const DeltaOverlay& empty = *last.delta();
   EXPECT_TRUE(empty.extra_out.empty());
   EXPECT_TRUE(empty.extra_in.empty());
   EXPECT_TRUE(empty.deleted_sources.empty());
