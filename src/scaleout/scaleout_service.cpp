@@ -744,12 +744,12 @@ void ScaleoutService::run_levels_queries(
       computed.push_back(
           std::make_shared<const std::vector<level_t>>(rep.single_out.level));
     } else {
+      // Each row moves into the cache's shared_ptr uncopied; the next
+      // wave allocates fresh rows in their place.
       engines_for(r, claim).session->run(wave, rep.wave_out);
-      const auto n = static_cast<std::size_t>(epoch.snapshot.num_vertices());
-      for (std::size_t s = 0; s < wave.size(); ++s) {
-        const level_t* row = rep.wave_out.distance.data() + s * n;
+      for (std::vector<level_t>& row : rep.wave_out.distance) {
         computed.push_back(
-            std::make_shared<const std::vector<level_t>>(row, row + n));
+            std::make_shared<const std::vector<level_t>>(std::move(row)));
       }
     }
     for (std::size_t s = 0, c = 0; s < sources.size(); ++s) {

@@ -175,8 +175,10 @@ class ScaleoutService {
 
   /// Scratch-arena accounting of a tenant's replica engines (batch-of-1
   /// engine + MS-BFS session, summed over replicas): after one warmup
-  /// dispatch per path every further dispatch is a reuse. Exact at a
-  /// quiescent point (no query in flight).
+  /// a batch-of-1 dispatch is a reuse. A wave counts as an allocation
+  /// every time, for the rows it hands to the cache; its scratch is
+  /// reused once the session has been as deep. Exact at a quiescent
+  /// point (no query in flight).
   ArenaStats arena_stats(TenantId tenant) const;
 
   int replicas() const { return static_cast<int>(replicas_.size()); }

@@ -21,6 +21,7 @@
 #include "core/registry.hpp"
 #include "graph/generators.hpp"
 #include "graph/workloads.hpp"
+#include "harness/source_sampler.hpp"
 #include "harness/verifier.hpp"
 #include "service/bfs_service.hpp"
 
@@ -29,6 +30,7 @@ namespace {
 
 using telemetry::kBottomUpWordsSkipped;
 using telemetry::kDuplicatePops;
+using telemetry::kEdgesScanned;
 using telemetry::kLevelsBottomUp;
 using telemetry::kPrefetchIssued;
 using telemetry::kRevisits;
@@ -317,6 +319,89 @@ TEST(Arena, MsBfsWavesReuseEveryBuffer) {
     const BFSResult oracle = bfs_serial(g, src);
     for (vid_t v = 0; v < g.num_vertices(); ++v) {
       ASSERT_EQ(out.distance_of(s, v), oracle.level[v]);
+    }
+  }
+}
+
+// A caller that keeps `out` reuses its rows: a second wave no deeper
+// than the first allocates nothing. A row moved out (the serving
+// core's hand-off to its cache) is allocated afresh, and the arena
+// counts that wave as an allocation.
+TEST(Arena, MsBfsReusedOutAllocatesNothing) {
+  const CsrGraph g = dense_rmat();
+  BFSOptions options;
+  options.num_threads = 4;
+  options.direction_mode = DirectionMode::kHybrid;
+  MsBfsSession session(g, options);
+  const std::vector<vid_t> sources{1, 2, 3};
+  MsBfsResult out;
+  session.run(sources, out);
+  std::vector<const level_t*> rows;
+  for (const std::vector<level_t>& row : out.distance) rows.push_back(row.data());
+  const ArenaStats warm = session.arena_stats();
+
+  session.run(sources, out);
+  EXPECT_EQ(session.arena_stats().allocations, warm.allocations);
+  EXPECT_EQ(session.arena_stats().reuses, warm.reuses + 1);
+  EXPECT_EQ(out.counters[kScratchReuses], 1u);
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    EXPECT_EQ(out.distance[s].data(), rows[s]) << "row " << s << " moved";
+    EXPECT_EQ(out.distance[s], bfs_serial(g, sources[s]).level);
+  }
+
+  const std::vector<level_t> taken = std::move(out.distance[0]);
+  session.run(sources, out);
+  EXPECT_EQ(session.arena_stats().allocations, warm.allocations + 1);
+  EXPECT_EQ(out.counters[kScratchReuses], 0u);
+  EXPECT_EQ(out.distance[0], taken);
+}
+
+// The bottom-up pull looks only for live sources. An isolated source's
+// BFS ends at level 0, so adding one to a hybrid wave must not change
+// which levels run bottom-up or how many edges they scan.
+TEST(MsBfsWave, DeadSourceCostsNoBottomUpScan) {
+  EdgeList edges = gen::rmat(12, 16, 33);
+  const vid_t isolated = edges.num_vertices();
+  edges.ensure_vertices(isolated + 1);
+  const CsrGraph g = CsrGraph::from_edges(edges);
+  BFSOptions options;
+  options.num_threads = 1;
+  options.direction_mode = DirectionMode::kHybrid;
+  MsBfsSession session(g, options);
+  std::vector<vid_t> sources = sample_sources(g, 16, 5);
+  const MsBfsResult alive = session.run(sources);
+  sources.push_back(isolated);
+  const MsBfsResult with_dead = session.run(sources);
+
+  ASSERT_GT(alive.bottom_up_levels, 0u);
+  EXPECT_EQ(with_dead.bottom_up_levels, alive.bottom_up_levels);
+  EXPECT_EQ(with_dead.counters[kEdgesScanned], alive.counters[kEdgesScanned]);
+  for (std::size_t s = 0; s + 1 < sources.size(); ++s) {
+    EXPECT_EQ(with_dead.distance[s], alive.distance[s]) << "row " << s;
+    EXPECT_EQ(with_dead.vertices_explored[s], alive.vertices_explored[s]);
+  }
+  EXPECT_EQ(with_dead.vertices_explored.back(), 1u);
+  EXPECT_EQ(with_dead.distance_of(16, isolated), 0);
+}
+
+// Depths past 127 leave the byte-table decode: a 129-vertex path ends at
+// depth 128, and a 300-vertex path needs nine level planes. A team of
+// four records the planes from every member.
+TEST(MsBfsWave, DeepWavesMatchSerial) {
+  for (const vid_t length : {vid_t{129}, vid_t{300}}) {
+    const CsrGraph g = CsrGraph::from_edges(gen::path(length));
+    const std::vector<vid_t> sources{0, 1, length / 2, length - 1};
+    for (const int p : {1, 4}) {
+      BFSOptions options;
+      options.num_threads = p;
+      MsBfsSession session(g, options);
+      const MsBfsResult wave = session.run(sources);
+      for (std::size_t s = 0; s < sources.size(); ++s) {
+        const BFSResult oracle = bfs_serial(g, sources[s]);
+        EXPECT_EQ(wave.distance[s], oracle.level)
+            << "path " << length << " p=" << p << " source " << sources[s];
+        EXPECT_EQ(wave.vertices_explored[s], oracle.vertices_visited);
+      }
     }
   }
 }

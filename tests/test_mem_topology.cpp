@@ -342,7 +342,7 @@ TEST(TopologyParity, MsBfsMatchesOracleWithAllKnobsOn) {
   for (std::size_t s = 0; s < sources.size(); ++s) {
     const BFSResult reference = bfs_serial(g, sources[s]);
     for (vid_t v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(wave.distance[s * g.num_vertices() + v], reference.level[v])
+      ASSERT_EQ(wave.distance_of(static_cast<int>(s), v), reference.level[v])
           << "source " << sources[s] << " vertex " << v;
     }
   }
