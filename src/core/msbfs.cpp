@@ -132,7 +132,7 @@ void MsBfsSession::run(const std::vector<vid_t>& sources, MsBfsResult& out) {
   }
   out.num_vertices = n;
   out.num_sources = static_cast<int>(ns);
-  planes_grew_ = false;
+  const int planes_before = num_planes_;
 
   // The previous wave left the masks and planes all-zero (header
   // invariant) and — with the clearing trick on — every queue slot
@@ -169,7 +169,7 @@ void MsBfsSession::run(const std::vector<vid_t>& sources, MsBfsResult& out) {
 
   team_.run([&](int tid) { run_wave(tid, out); });
 
-  grew |= planes_grew_;
+  grew |= num_planes_ > planes_before;
   ++(grew ? arena_.allocations : arena_.reuses);
   if (wave_error_) {
     // Every member scrubbed its slices; the queues still hold the
@@ -265,7 +265,6 @@ void MsBfsSession::end_level(level_t depth) {
       std::memset(plane.data(), 0,
                   graph_.num_vertices() * sizeof(std::uint64_t));
       ++num_planes_;
-      planes_grew_ = true;
     } catch (...) {
       wave_error_ = std::current_exception();
       more = false;

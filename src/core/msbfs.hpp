@@ -223,8 +223,7 @@ class MsBfsSession {
   // grows the next one when a wave first reaches depth 2^k.
   std::array<mem::PlacedBuffer<std::uint64_t>, kMaxPlanes> planes_;
   int num_planes_ = 0;
-  bool planes_grew_ = false;        ///< this wave grew a plane
-  std::exception_ptr wave_error_;   ///< a plane growth that threw
+  std::exception_ptr wave_error_;  ///< a plane growth that threw
 
   FrontierQueues queues_;
   SpinBarrier barrier_;
