@@ -1,7 +1,7 @@
-// Whole-graph analytics built from BFS — the applications the paper's
-// introduction motivates (connected components, shortest paths,
-// betweenness centrality, diameter), all running on the lock-free
-// optimistic engines.
+// Whole-graph analytics — the applications the paper's introduction
+// motivates (connected components, shortest paths, betweenness
+// centrality, diameter), all running lock-free: components on the
+// optimistic CC kernel, the rest on the optimistic BFS engines.
 //
 //   ./graph_analytics [n] [m] [threads]
 #include <algorithm>
@@ -10,9 +10,7 @@
 #include <iostream>
 
 #include "apps/betweenness.hpp"
-#include "apps/connected_components.hpp"
 #include "apps/graph_metrics.hpp"
-#include "apps/shortest_paths.hpp"
 #include "checked_args.hpp"
 #include "optibfs.hpp"
 
@@ -35,10 +33,21 @@ int main(int argc, char** argv) {
   options.num_threads = threads;
 
   Timer timer;
-  const ComponentsResult cc = connected_components(graph, options);
-  std::cout << "[components] " << cc.num_components << " components, "
-            << "largest has " << cc.size[cc.largest()] << " vertices ("
-            << timer.elapsed_ms() << " ms)\n";
+  // CC labels each vertex with the smallest id in its component, so a
+  // component is a vertex that is its own label.
+  kernels::KernelResult cc;
+  kernels::make_kernel("CC", graph, options)->run(cc);
+  std::vector<vid_t> component_size(graph.num_vertices(), 0);
+  vid_t components = 0;
+  for (vid_t v = 0; v < graph.num_vertices(); ++v) {
+    ++component_size[cc.labels[v]];
+    if (cc.labels[v] == v) ++components;
+  }
+  std::cout << "[components] " << components << " components, "
+            << "largest has "
+            << *std::max_element(component_size.begin(),
+                                 component_size.end())
+            << " vertices (" << timer.elapsed_ms() << " ms)\n";
 
   timer.reset();
   const DiameterBounds diameter = estimate_diameter(graph, options);
@@ -77,13 +86,18 @@ int main(int argc, char** argv) {
   }
 
   const vid_t hub = ranking[0];
-  ShortestPaths sp(graph, options);
-  sp.set_source(hub);
+  BFSResult paths;
+  make_bfs("BFS_WSL", graph, options)->run(hub, paths);
+  const level_t eccentricity = paths.num_levels - 1;
+  std::vector<vid_t> ring_size(static_cast<std::size_t>(paths.num_levels), 0);
+  for (const level_t hops : paths.level) {
+    if (hops != kUnvisited) ++ring_size[static_cast<std::size_t>(hops)];
+  }
   std::cout << "\n[paths] from top connector " << hub << ": eccentricity "
-            << sp.eccentricity() << "; ring sizes:";
-  for (level_t hop = 1; hop <= std::min<level_t>(4, sp.eccentricity());
-       ++hop) {
-    std::cout << "  " << hop << "-hop=" << sp.ring(hop).size();
+            << eccentricity << "; ring sizes:";
+  for (level_t hop = 1; hop <= std::min<level_t>(4, eccentricity); ++hop) {
+    std::cout << "  " << hop
+              << "-hop=" << ring_size[static_cast<std::size_t>(hop)];
   }
   std::cout << '\n';
   return 0;

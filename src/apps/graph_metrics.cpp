@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "core/msbfs.hpp"
 #include "core/registry.hpp"
@@ -90,73 +91,37 @@ DiameterBounds estimate_diameter(const CsrGraph& graph,
 
 std::vector<double> closeness_centrality(const CsrGraph& graph,
                                          const BFSOptions& options,
-                                         const std::vector<vid_t>& sources,
-                                         std::string_view algorithm) {
-  const vid_t n = graph.num_vertices();
-  std::vector<double> closeness(n, 0.0);
-  if (n == 0) return closeness;
-  auto engine = make_bfs(algorithm, graph, options);
-  BFSResult bfs;
-
-  auto compute_one = [&](vid_t v) {
-    engine->run(v, bfs);
-    std::uint64_t reachable = 0;
-    std::uint64_t distance_sum = 0;
-    for (vid_t w = 0; w < n; ++w) {
-      if (bfs.level[w] != kUnvisited) {
-        ++reachable;
-        distance_sum += static_cast<std::uint64_t>(bfs.level[w]);
-      }
-    }
-    if (reachable <= 1 || distance_sum == 0 || n == 1) return 0.0;
-    const double r = static_cast<double>(reachable);
-    return (r - 1.0) / static_cast<double>(n - 1) *
-           ((r - 1.0) / static_cast<double>(distance_sum));
-  };
-
-  if (sources.empty()) {
-    for (vid_t v = 0; v < n; ++v) closeness[v] = compute_one(v);
-  } else {
-    for (const vid_t v : sources) {
-      if (v < n) closeness[v] = compute_one(v);
-    }
-  }
-  return closeness;
-}
-
-std::vector<double> closeness_centrality_batched(
-    const CsrGraph& graph, const BFSOptions& options,
-    const std::vector<vid_t>& sources) {
+                                         const std::vector<vid_t>& sources) {
   const vid_t n = graph.num_vertices();
   std::vector<double> closeness(n, 0.0);
   if (n == 0) return closeness;
 
   std::vector<vid_t> all;
-  const std::vector<vid_t>* batch_sources = &sources;
   if (sources.empty()) {
     all.resize(n);
-    for (vid_t v = 0; v < n; ++v) all[v] = v;
-    batch_sources = &all;
+    std::iota(all.begin(), all.end(), vid_t{0});
   }
+  const std::vector<vid_t>& requested = sources.empty() ? all : sources;
 
-  for (std::size_t begin = 0; begin < batch_sources->size(); begin += 64) {
-    const std::size_t end = std::min(begin + 64, batch_sources->size());
-    const std::vector<vid_t> batch(batch_sources->begin() +
-                                       static_cast<std::ptrdiff_t>(begin),
-                                   batch_sources->begin() +
-                                       static_cast<std::ptrdiff_t>(end));
-    const MsBfsResult result = multi_source_bfs(graph, batch, options);
+  constexpr std::size_t kWave = MsBfsSession::kMaxBatch;
+  MsBfsSession session(graph, options);
+  MsBfsResult wave;
+  std::vector<vid_t> batch;
+  for (std::size_t begin = 0; begin < requested.size(); begin += kWave) {
+    const std::size_t end = std::min(begin + kWave, requested.size());
+    batch.assign(requested.begin() + static_cast<std::ptrdiff_t>(begin),
+                 requested.begin() + static_cast<std::ptrdiff_t>(end));
+    session.run(batch, wave);
     for (std::size_t s = 0; s < batch.size(); ++s) {
       std::uint64_t reachable = 0;
       std::uint64_t distance_sum = 0;
-      for (vid_t w = 0; w < n; ++w) {
-        const level_t d = result.distance_of(static_cast<int>(s), w);
+      for (const level_t d : wave.distance[s]) {
         if (d != kUnvisited) {
           ++reachable;
           distance_sum += static_cast<std::uint64_t>(d);
         }
       }
-      if (reachable <= 1 || distance_sum == 0 || n == 1) continue;
+      if (reachable <= 1) continue;
       const double r = static_cast<double>(reachable);
       closeness[batch[s]] = (r - 1.0) / static_cast<double>(n - 1) *
                             ((r - 1.0) / static_cast<double>(distance_sum));

@@ -1,4 +1,5 @@
-// BFS-derived whole-graph metrics: bipartiteness and diameter bounds.
+// BFS-derived whole-graph metrics: bipartiteness, diameter bounds and
+// closeness centrality.
 #pragma once
 
 #include <cstdint>
@@ -50,16 +51,9 @@ DiameterBounds estimate_diameter(const CsrGraph& graph,
 /// normalized form
 ///     C(v) = ((r-1)/(n-1)) * ((r-1) / sum of distances from v)
 /// where r = vertices reachable from v — well-defined on disconnected
-/// graphs. One BFS per requested vertex.
+/// graphs. Sources run as MS-BFS waves of up to 64 traversals sharing
+/// their adjacency scans; a source id >= n throws std::out_of_range.
 std::vector<double> closeness_centrality(
-    const CsrGraph& graph, const BFSOptions& options,
-    const std::vector<vid_t>& sources = {},
-    std::string_view algorithm = "BFS_CL");
-
-/// Same scores computed with the MS-BFS batch engine (64 traversals per
-/// sweep, shared adjacency scans). Preferable when closeness is needed
-/// for many vertices at once.
-std::vector<double> closeness_centrality_batched(
     const CsrGraph& graph, const BFSOptions& options,
     const std::vector<vid_t>& sources = {});
 

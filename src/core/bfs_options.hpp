@@ -82,7 +82,7 @@ struct BFSOptions {
   /// (adaptive) for this to take effect. Uses
   /// FrontierQueues::total_in_edges() and the level's mean frontier
   /// degree so skewed levels hand out fewer high-degree vertices per
-  /// fetch. Measured in bench_ablation_segment_size.
+  /// fetch. Measured in bench_ablation's segment_size sweep.
   bool edge_balanced_segments = false;
 
   /// The clearing trick: readers zero each consumed slot so overlapping
@@ -119,7 +119,7 @@ struct BFSOptions {
   /// Best-effort: failed pins leave workers floating; the count that
   /// stuck is reported in telemetry/ServiceStats. Combined with the
   /// engines' first-touch initialization this is what makes placement
-  /// real instead of advisory. No-op with OPTIBFS_NUMA=OFF.
+  /// real instead of advisory. No-op off Linux.
   bool pin_threads = false;
 
   /// Back the engines' large per-run buffers (stamped level arena,
@@ -129,11 +129,6 @@ struct BFSOptions {
   /// is `always` or `madvise`; telemetry records both advises issued
   /// and an AnonHugePages-delta estimate of pages actually promoted.
   bool huge_pages = false;
-
-  /// Collect the Table VI steal/duplicate statistics. Counter updates
-  /// are thread-local so the cost is negligible either way; the flag
-  /// exists so results can be compared with the machinery fully off.
-  bool collect_stats = true;
 
   /// Hybrid small-frontier shortcut: when the level's frontier holds
   /// fewer than this many vertices, thread 0 drains it serially and the

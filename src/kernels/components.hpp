@@ -1,10 +1,10 @@
 // Connected components by optimistic min-label propagation.
 //
 // State: labels[v], initialized to v, over the superposed out+in view
-// (components of the underlying undirected graph — same contract as
-// apps/connected_components). Useful updates are monotone: a label
-// only ever decreases, so a stale read at worst re-pushes a value that
-// was already beaten (redundant work, counted, never wrong).
+// (components of the underlying undirected graph; this kernel is the
+// library's one CC). Useful updates are monotone: a label only ever
+// decreases, so a stale read at worst re-pushes a value that was
+// already beaten (redundant work, counted, never wrong).
 //
 // CC (optimistic): pushes store the smaller label with a plain relaxed
 // store. Two concurrent writers can lose the smaller of two updates

@@ -1,11 +1,8 @@
-// Syscall-facing side of the memory-topology layer. Compiled only when
-// OPTIBFS_NUMA is on; the header supplies inline degrade-stubs
-// otherwise. Every path here must fail soft: this library's primary dev
-// container is single-node with THP=madvise and no CAP_SYS_NICE, so the
-// "kernel said no" branches are the ones that actually run in CI.
+// Syscall-facing side of the memory-topology layer. Every path here
+// must fail soft: this library's primary dev container is single-node
+// with THP=madvise and no CAP_SYS_NICE, so the "kernel said no"
+// branches are the ones that actually run in CI.
 #include "runtime/mem_topology.hpp"
-
-#if defined(OPTIBFS_NUMA)
 
 #include <cctype>
 #include <cstdio>
@@ -253,5 +250,3 @@ bool interleave_across_nodes(void* addr, std::size_t bytes) {
 }
 
 }  // namespace optibfs::mem
-
-#endif  // OPTIBFS_NUMA

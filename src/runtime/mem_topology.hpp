@@ -29,10 +29,9 @@
 //      std::vector would fault everything on the constructing thread
 //      and pin the whole arena to one node.
 //
-// Everything here compiles away behind -DOPTIBFS_NUMA=OFF: the #else
-// branch supplies inline always-degrade stubs, and a ctest (pattern of
-// check_no_telemetry_symbols.cmake) asserts the layer leaves no symbols
-// in the disabled build.
+// The layer is always compiled: a machine that cannot place gets the
+// degraded answers above at run time (one flat node, no pinning, no
+// huge pages).
 #pragma once
 
 #include <algorithm>
@@ -67,7 +66,7 @@ enum class ThpMode { kUnknown, kAlways, kMadvise, kNever };
 inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
 
 /// Single flat node spanning hardware_concurrency() cpus — the degraded
-/// answer for non-Linux / missing sysfs, and the OPTIBFS_NUMA=OFF stub.
+/// answer for non-Linux / missing sysfs.
 inline PhysicalTopology flat_physical_topology() {
   PhysicalTopology topo;
   NumaNode node;
@@ -87,8 +86,6 @@ inline const char* thp_mode_name(ThpMode mode) {
     default: return "unknown";
   }
 }
-
-#if defined(OPTIBFS_NUMA)
 
 // ---- detection ------------------------------------------------------
 
@@ -150,31 +147,6 @@ bool bind_to_node(void* addr, std::size_t bytes, int node);
 /// adjacency placement (no owner socket; spread the bandwidth). False
 /// on single-node machines or kernel refusal.
 bool interleave_across_nodes(void* addr, std::size_t bytes);
-
-#else  // !OPTIBFS_NUMA — inline always-degrade stubs, zero symbols.
-
-inline std::vector<int> parse_cpu_list(const std::string&) { return {}; }
-inline PhysicalTopology parse_node_tree(const std::string&) {
-  return flat_physical_topology();
-}
-inline const PhysicalTopology& system_topology() {
-  static const PhysicalTopology topo = flat_physical_topology();
-  return topo;
-}
-inline bool numa_enabled() { return false; }
-inline bool pinning_available() { return false; }
-inline ThpMode parse_thp_enabled(const std::string&) {
-  return ThpMode::kUnknown;
-}
-inline ThpMode thp_mode() { return ThpMode::kUnknown; }
-inline bool huge_pages_supported() { return false; }
-inline bool advise_huge_pages(void*, std::size_t) { return false; }
-inline std::uint64_t anon_huge_bytes() { return 0; }
-inline bool pin_current_thread_to_cpu(int) { return false; }
-inline bool bind_to_node(void*, std::size_t, int) { return false; }
-inline bool interleave_across_nodes(void*, std::size_t) { return false; }
-
-#endif  // OPTIBFS_NUMA
 
 // ---- placement-friendly allocation ----------------------------------
 

@@ -500,7 +500,7 @@ ServiceStats ScaleoutService::stats(TenantId tenant_id) const {
     stats.storage_major_fault_estimate = ss.major_faults;
   }
   // Machine facts (DESIGN.md §13); they degrade to the flat answers on
-  // single-node machines and OPTIBFS_NUMA=OFF builds.
+  // single-node machines and where sysfs is missing.
   const mem::PhysicalTopology& topo = mem::system_topology();
   stats.sockets = static_cast<int>(topo.nodes.size());
   stats.topology_detected = topo.detected;

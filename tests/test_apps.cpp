@@ -1,13 +1,12 @@
-// Application-layer tests: shortest paths, connected components,
-// betweenness centrality, bipartiteness, diameter estimation.
+// Application-layer tests: betweenness centrality, bipartiteness,
+// closeness centrality, diameter estimation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "apps/betweenness.hpp"
-#include "apps/connected_components.hpp"
 #include "apps/graph_metrics.hpp"
-#include "apps/shortest_paths.hpp"
+#include "core/bfs_serial.hpp"
 #include "graph/generators.hpp"
 
 namespace optibfs {
@@ -19,103 +18,21 @@ BFSOptions small_opts() {
   return options;
 }
 
-// ---- shortest paths ----
-
-TEST(ShortestPathsApp, DistancesAndPaths) {
-  const CsrGraph g = CsrGraph::from_edges(gen::grid2d(8, 8));
-  ShortestPaths sp(g, small_opts());
-  sp.set_source(0);
-  EXPECT_EQ(sp.distance(0), 0);
-  EXPECT_EQ(sp.distance(63), 14);  // manhattan distance corner-to-corner
-  const auto path = sp.path_to(63);
-  ASSERT_EQ(path.size(), 15u);
-  EXPECT_EQ(path.front(), 0u);
-  EXPECT_EQ(path.back(), 63u);
-  // Every hop must be a real edge.
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    EXPECT_TRUE(g.has_edge(path[i], path[i + 1]));
+/// Wasserman-Faust closeness of `v` from one serial BFS: the reference
+/// the MS-BFS waves of closeness_centrality are checked against.
+double serial_closeness(const CsrGraph& g, vid_t v) {
+  const BFSResult bfs = bfs_serial(g, v);
+  double reachable = 0.0;
+  double distance_sum = 0.0;
+  for (const level_t d : bfs.level) {
+    if (d != kUnvisited) {
+      reachable += 1.0;
+      distance_sum += d;
+    }
   }
-}
-
-TEST(ShortestPathsApp, UnreachableAndOutOfRange) {
-  EdgeList edges(4);
-  edges.add_unchecked(0, 1);
-  const CsrGraph g = CsrGraph::from_edges(edges);
-  ShortestPaths sp(g, small_opts(), "sbfs");
-  sp.set_source(0);
-  EXPECT_FALSE(sp.distance(3).has_value());
-  EXPECT_TRUE(sp.path_to(3).empty());
-  EXPECT_FALSE(sp.reachable(3));
-  EXPECT_FALSE(sp.distance(99).has_value());
-  EXPECT_TRUE(sp.reachable(1));
-}
-
-TEST(ShortestPathsApp, RingAndEccentricity) {
-  const CsrGraph g = CsrGraph::from_edges(gen::path(10));
-  ShortestPaths sp(g, small_opts());
-  sp.set_source(0);
-  EXPECT_EQ(sp.eccentricity(), 9);
-  EXPECT_EQ(sp.ring(3), std::vector<vid_t>{3});
-  sp.set_source(5);
-  EXPECT_EQ(sp.eccentricity(), 5);
-  const auto ring2 = sp.ring(2);
-  EXPECT_EQ(ring2, (std::vector<vid_t>{3, 7}));
-}
-
-TEST(ShortestPathsApp, RequiresSource) {
-  const CsrGraph g = CsrGraph::from_edges(gen::path(4));
-  ShortestPaths sp(g, small_opts());
-  EXPECT_THROW((void)sp.distance(1), std::logic_error);
-}
-
-// ---- connected components ----
-
-TEST(ComponentsApp, SingleComponent) {
-  const CsrGraph g = CsrGraph::from_edges(gen::grid2d(10, 10));
-  const ComponentsResult cc = connected_components(g, small_opts());
-  EXPECT_EQ(cc.num_components, 1u);
-  EXPECT_EQ(cc.size[0], 100u);
-  EXPECT_EQ(cc.largest(), 0u);
-}
-
-TEST(ComponentsApp, IslandsAndIsolated) {
-  // Two blobs plus three isolated vertices.
-  EdgeList edges = gen::path(10);          // component of 10
-  edges.ensure_vertices(25);
-  const EdgeList ring = gen::path(12);     // component of 12, shifted
-  for (const Edge& e : ring.edges()) {
-    edges.add_unchecked(e.src + 10, e.dst + 10);
-  }
-  const CsrGraph g = CsrGraph::from_edges(edges);
-  const ComponentsResult cc = connected_components(g, small_opts());
-  EXPECT_EQ(cc.num_components, 5u);  // 2 blobs + 3 isolated (22, 23, 24)
-  std::uint64_t total = 0;
-  for (const vid_t s : cc.size) total += s;
-  EXPECT_EQ(total, 25u);
-  EXPECT_EQ(cc.size[cc.largest()], 12u);
-  // Same component <=> same label, spot-checked.
-  EXPECT_EQ(cc.component[0], cc.component[9]);
-  EXPECT_EQ(cc.component[10], cc.component[21]);
-  EXPECT_NE(cc.component[0], cc.component[10]);
-  EXPECT_NE(cc.component[22], cc.component[23]);
-}
-
-TEST(ComponentsApp, ManySmallComponentsUseSerialFallback) {
-  // 500 disjoint edges: forces the small-component path.
-  EdgeList edges(1000);
-  for (vid_t v = 0; v < 1000; v += 2) edges.add_unchecked(v, v + 1);
-  edges.symmetrize();
-  const CsrGraph g = CsrGraph::from_edges(edges);
-  const ComponentsResult cc = connected_components(g, small_opts());
-  EXPECT_EQ(cc.num_components, 500u);
-  for (const vid_t s : cc.size) EXPECT_EQ(s, 2u);
-}
-
-TEST(ComponentsApp, EmptyGraph) {
-  const ComponentsResult cc =
-      connected_components(CsrGraph{}, small_opts());
-  EXPECT_EQ(cc.num_components, 0u);
-  EXPECT_EQ(cc.largest(), kInvalidVertex);
+  if (reachable <= 1.0) return 0.0;
+  const double n = static_cast<double>(g.num_vertices());
+  return (reachable - 1.0) / (n - 1.0) * ((reachable - 1.0) / distance_sum);
 }
 
 // ---- betweenness centrality ----
@@ -274,22 +191,21 @@ TEST(GraphMetrics, ClosenessSelectedSourcesOnly) {
 }
 
 TEST(GraphMetrics, BatchedClosenessMatchesPerSource) {
+  // 500 sources: seven full 64-source waves and one partial one.
   const CsrGraph g = CsrGraph::from_edges(gen::power_law(500, 4000, 2.3, 8));
-  const auto direct = closeness_centrality(g, small_opts());
-  const auto batched = closeness_centrality_batched(g, small_opts());
-  ASSERT_EQ(direct.size(), batched.size());
+  const auto batched = closeness_centrality(g, small_opts());
+  ASSERT_EQ(batched.size(), g.num_vertices());
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_NEAR(direct[v], batched[v], 1e-12) << "vertex " << v;
+    EXPECT_NEAR(batched[v], serial_closeness(g, v), 1e-12) << "vertex " << v;
   }
 }
 
 TEST(GraphMetrics, BatchedClosenessSelectedSources) {
   const CsrGraph g = CsrGraph::from_edges(gen::grid2d(10, 10));
   const std::vector<vid_t> picks{0, 55, 99};
-  const auto direct = closeness_centrality(g, small_opts(), picks);
-  const auto batched = closeness_centrality_batched(g, small_opts(), picks);
+  const auto batched = closeness_centrality(g, small_opts(), picks);
   for (const vid_t v : picks) {
-    EXPECT_NEAR(direct[v], batched[v], 1e-12);
+    EXPECT_NEAR(batched[v], serial_closeness(g, v), 1e-12);
   }
   EXPECT_EQ(batched[1], 0.0);
 }

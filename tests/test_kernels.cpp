@@ -112,7 +112,15 @@ TEST(KernelRegistry, NamesAndConstruction) {
 
 TEST(KernelZoo, AllKernelsMatchReferences) {
   const BFSOptions opts = kernel_options(4);
-  for (const auto& [gname, g] : test::correctness_graph_zoo()) {
+  // Two inputs beyond the shared zoo, whose BFS tests start from
+  // vertex 0: the empty graph, and 500 disjoint two-vertex components.
+  std::vector<test::NamedGraph> inputs = test::correctness_graph_zoo();
+  inputs.push_back({"empty", CsrGraph{}});
+  EdgeList pairs(1000);
+  for (vid_t v = 0; v < 1000; v += 2) pairs.add_unchecked(v, v + 1);
+  pairs.symmetrize();
+  inputs.push_back({"pairs_500", CsrGraph::from_edges(pairs)});
+  for (const auto& [gname, g] : inputs) {
     for (const std::string& name : kernels::all_kernels()) {
       const KernelResult r = run_kernel(name, g, opts);
       expect_matches_reference(name, g, r, opts, name + " on " + gname);

@@ -39,8 +39,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-#if defined(OPTIBFS_NUMA)
-
 // ---------------------------------------------------------------------
 // sysfs parsing (pure functions, no syscalls).
 
@@ -105,12 +103,9 @@ TEST(MemTopologyParse, ThpEnabledLineBrackets) {
   EXPECT_EQ(mem::parse_thp_enabled(""), mem::ThpMode::kUnknown);
 }
 
-#endif  // OPTIBFS_NUMA
-
 // ---------------------------------------------------------------------
 // Syscall wrappers: every path must fail soft. These assertions hold on
-// any machine — single-node containers, NUMA boxes, and the
-// OPTIBFS_NUMA=OFF stub build alike.
+// any machine — single-node containers and NUMA boxes alike.
 
 TEST(MemTopologyDegrade, SystemTopologyAlwaysHasOneNode) {
   const mem::PhysicalTopology& topo = mem::system_topology();
@@ -288,7 +283,7 @@ TEST(ThreadTeamPin, CountsSuccessfulAffinityCalls) {
   std::atomic<int> ran{0};
   team.run([&](int) { ran.fetch_add(1, std::memory_order_relaxed); });
   EXPECT_EQ(ran.load(), 2);
-#if defined(OPTIBFS_NUMA) && defined(__linux__)
+#if defined(__linux__)
   EXPECT_EQ(team.pinned_threads(), 2);
 #else
   EXPECT_EQ(team.pinned_threads(), 0);
