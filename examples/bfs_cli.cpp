@@ -80,8 +80,8 @@ using namespace optibfs;
       "                   batch (DESIGN.md section 9)\n"
       "  --service        route the measurement sweep through BfsService\n"
       "                   (batch-of-1 distance queries on the configured\n"
-      "                   engine; reports the service's resolved engine\n"
-      "                   and auto-tuned prefetch distance)\n"
+      "                   engine and --prefetch distance; reports both as\n"
+      "                   the service's stats record them)\n"
       "  --json PATH      write machine-readable results (schema v2):\n"
       "                   with --updates the per-batch timings; otherwise\n"
       "                   the measurement sweep with one record per run,\n"
@@ -282,9 +282,9 @@ int write_sweep_json(const std::string& json_path,
 
 /// --service mode: route the sweep through BfsService as batch-of-1
 /// distance queries. The cache is disabled so every query pays a full
-/// dispatch, and the engine name / prefetch distance come back from
-/// ServiceStats (the register_graph-time strict-vs-relaxed resolution
-/// and auto-tune probe), not from the flag the user passed.
+/// dispatch. The service runs its engines with `options` as given (its
+/// storage budget included), and the engine name / prefetch distance
+/// printed come back from ServiceStats, not from the flags.
 int run_service_sweep(CsrGraph&& owned, const std::string& graph_spec,
                       const std::string& algorithm, const BFSOptions& options,
                       const std::vector<vid_t>& sources, bool verify,
@@ -294,7 +294,6 @@ int run_service_sweep(CsrGraph&& owned, const std::string& graph_spec,
   config.cache_bytes = 0;  // every query is a real dispatch
   config.single_source_engine = algorithm;
   config.bfs = options;
-  config.storage_budget_bytes = options.storage_budget_bytes;
   BfsService service(config);
   const auto shared = std::make_shared<const CsrGraph>(std::move(owned));
   const CsrGraph& graph = *shared;

@@ -58,36 +58,16 @@ void CentralizedBFS::consume_level(int tid, level_t level) {
 }
 
 // ---------------------------------------------------------------------------
-// BFS_CL / BFS_EBL
+// BFS_CL
 // ---------------------------------------------------------------------------
 
 CentralizedLockfreeBFS::CentralizedLockfreeBFS(const CsrGraph& graph,
                                                BFSOptions opts,
-                                               TeamHandle team,
-                                               bool edge_balanced)
-    : BFSEngineBase(edge_balanced ? "BFS_EBL" : "BFS_CL", graph,
-                    std::move(opts), std::move(team)),
-      edge_balanced_(edge_balanced) {}
+                                               TeamHandle team)
+    : BFSEngineBase("BFS_CL", graph, std::move(opts), std::move(team)) {}
 
 void CentralizedLockfreeBFS::on_level_prepared() {
   global_queue_.store(0, std::memory_order_relaxed);
-}
-
-std::int64_t CentralizedLockfreeBFS::pick_segment(
-    std::int64_t queue_remaining) const {
-  if (!edge_balanced_) {
-    return std::min(segment_size(queue_remaining), queue_remaining);
-  }
-  // §IV-D: divide edges, not vertices. The per-dispatch edge budget is
-  // converted to a vertex count through the frontier's mean degree
-  // (maintained per level by the engine base), so a frontier of fat
-  // vertices gets proportionally shorter segments.
-  const std::int64_t edge_budget =
-      std::max<std::int64_t>(std::int64_t{64}, queues_.total_in_edges() /
-                                                   (4 * p_));
-  const std::int64_t s =
-      std::max<std::int64_t>(1, edge_budget / frontier_mean_degree());
-  return std::min(s, queue_remaining);
 }
 
 void CentralizedLockfreeBFS::consume_level(int tid, level_t level) {
@@ -107,7 +87,8 @@ void CentralizedLockfreeBFS::consume_level(int tid, level_t level) {
     }
     if (k >= p_) return;  // nothing visible anywhere: quit the level
 
-    const std::int64_t len = pick_segment(rear - front);
+    const std::int64_t len =
+        std::min(segment_size(rear - front), rear - front);
     // Plain stores: two threads that raced through the scan may both
     // publish, possibly moving q or f backwards (Figure 1). The result
     // is a duplicate segment, which the clearing trick aborts early.

@@ -9,8 +9,10 @@
 //  * BFS_DL  — j independent centralized pools with randomized
 //              migration (j=1 degenerates to BFS_CL; j=p is fully
 //              distributed). Lock-free.
-//  * BFS_EBL — §IV-D future-work variant of BFS_CL whose segments are
-//              sized in *edges* rather than vertices.
+//
+// The §IV-D future-work idea of sizing segments in edges rather than
+// vertices is BFSOptions::edge_balanced_segments, read by every engine
+// through BFSEngineBase::segment_size (BFS_CL included).
 #pragma once
 
 #include <atomic>
@@ -38,23 +40,17 @@ class CentralizedBFS final : public BFSEngineBase {
   std::int64_t remaining_ = 0;
 };
 
-/// BFS_CL / BFS_EBL: lock-free centralized fetch per the paper.
-class CentralizedLockfreeBFS : public BFSEngineBase {
+/// BFS_CL: lock-free centralized fetch per the paper.
+class CentralizedLockfreeBFS final : public BFSEngineBase {
  public:
   CentralizedLockfreeBFS(const CsrGraph& graph, BFSOptions opts,
-                         TeamHandle team, bool edge_balanced = false);
+                         TeamHandle team);
 
  protected:
   void consume_level(int tid, level_t level) override;
   void on_level_prepared() override;
 
  private:
-  /// Segment length for a queue with `queue_remaining` unread entries:
-  /// a function of it and per-level constants only (the partition
-  /// condition at BFSEngineBase::segment_size).
-  std::int64_t pick_segment(std::int64_t queue_remaining) const;
-
-  const bool edge_balanced_;
   /// Global queue pointer q — relaxed loads/stores only; may move
   /// backwards under races (paper Figure 1), which only causes
   /// duplicate segments.

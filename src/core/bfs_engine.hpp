@@ -244,11 +244,6 @@ class BFSEngineBase : public ParallelBFS {
   /// the tail of a longer segment unconsumed.
   std::int64_t segment_size(std::int64_t remaining) const;
 
-  /// Mean out-degree of the current frontier (>= 1). Recomputed in the
-  /// single-threaded window after every queue swap; stable during a
-  /// level. Drives edge-balanced segment sizing (base and BFS_EBL).
-  std::int64_t frontier_mean_degree() const { return frontier_mean_degree_; }
-
   /// MAX_STEAL = c * p * log2(p) (balls-and-bins bound), at least 1.
   int max_steal_attempts(int population) const;
 
@@ -383,6 +378,9 @@ class BFSEngineBase : public ParallelBFS {
   std::atomic<bool> bottom_up_level_{false};  ///< set in barrier window
   /// Alpha/beta bookkeeping; single writer (the barrier-window thread).
   DirectionRule direction_;
+  /// Mean out-degree of the current frontier (>= 1), recomputed in the
+  /// single-threaded window after every queue swap; stable during a
+  /// level. Drives edge-balanced segment sizing.
   std::int64_t frontier_mean_degree_ = 1;
 
  protected:

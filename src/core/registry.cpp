@@ -44,8 +44,8 @@ std::unique_ptr<ParallelBFS> make_engine(std::string_view algorithm,
       algorithm.substr(algorithm.size() - 2) == "_H") {
     const std::string_view base = algorithm.substr(0, algorithm.size() - 2);
     for (const std::string_view eligible :
-         {"BFS_C", "BFS_CL", "BFS_DL", "BFS_EBL", "BFS_W", "BFS_WL",
-          "BFS_WS", "BFS_WSL"}) {
+         {"BFS_C", "BFS_CL", "BFS_DL", "BFS_W", "BFS_WL", "BFS_WS",
+          "BFS_WSL"}) {
       if (base == eligible) {
         BFSOptions hybrid = options;
         hybrid.direction_mode = DirectionMode::kHybrid;
@@ -68,10 +68,6 @@ std::unique_ptr<ParallelBFS> make_engine(std::string_view algorithm,
   }
   if (algorithm == "BFS_CL") {
     return std::make_unique<CentralizedLockfreeBFS>(graph, options, team());
-  }
-  if (algorithm == "BFS_EBL") {
-    return std::make_unique<CentralizedLockfreeBFS>(graph, options, team(),
-                                                    /*edge_balanced=*/true);
   }
   if (algorithm == "BFS_DL") {
     return std::make_unique<DecentralizedLockfreeBFS>(graph, options, team());
@@ -121,11 +117,11 @@ std::unique_ptr<ParallelBFS> make_bfs(std::string_view algorithm,
 }
 
 std::vector<std::string> all_algorithms() {
-  return {"sbfs",   "BFS_C",      "BFS_CL",    "BFS_DL",
-          "BFS_W",  "BFS_WL",     "BFS_WS",    "BFS_WSL",
-          "BFS_EBL", "BFS_CL_H",  "BFS_DL_H",  "BFS_WL_H",
-          "BFS_WSL_H", "BFS_ASYNC", "PBFS",    "HONG_QUEUE",
-          "HONG_READ", "HONG_HYBRID", "HONG_LOCAL_BITMAP", "DO_BFS"};
+  return {"sbfs",      "BFS_C",     "BFS_CL",      "BFS_DL",
+          "BFS_W",     "BFS_WL",    "BFS_WS",      "BFS_WSL",
+          "BFS_CL_H",  "BFS_DL_H",  "BFS_WL_H",    "BFS_WSL_H",
+          "BFS_ASYNC", "PBFS",      "HONG_QUEUE",  "HONG_READ",
+          "HONG_HYBRID", "HONG_LOCAL_BITMAP", "DO_BFS"};
 }
 
 std::vector<std::string> async_algorithms() { return {"BFS_ASYNC"}; }
@@ -140,8 +136,8 @@ std::vector<std::string> lockfree_algorithms() {
 }
 
 std::vector<std::string> hybrid_algorithms() {
-  return {"BFS_C_H",  "BFS_CL_H", "BFS_DL_H",  "BFS_EBL_H",
-          "BFS_W_H",  "BFS_WL_H", "BFS_WS_H",  "BFS_WSL_H"};
+  return {"BFS_C_H", "BFS_CL_H", "BFS_DL_H", "BFS_W_H",
+          "BFS_WL_H", "BFS_WS_H", "BFS_WSL_H"};
 }
 
 std::vector<std::string> baseline_algorithms() {

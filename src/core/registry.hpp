@@ -25,8 +25,7 @@ namespace optibfs {
 ///   BFS_WL    — work-stealing, lock-free
 ///   BFS_WS    — work-stealing + scale-free, locks
 ///   BFS_WSL   — work-stealing + scale-free, lock-free
-///   BFS_EBL   — edge-balanced centralized lock-free (§IV-D)
-///   *_H       — any engine-family name (BFS_C .. BFS_WSL, BFS_EBL) with
+///   *_H       — any engine-family name (BFS_C .. BFS_WSL) with
 ///               an `_H` suffix: the same engine with atomics-free
 ///               hybrid top-down/bottom-up direction switching
 ///               (direction_mode = kHybrid)

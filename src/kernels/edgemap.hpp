@@ -200,8 +200,7 @@ class KernelSubstrate {
     if (tr_ != nullptr) visit_prefetch(tr_->out_neighbors(v), data, f);
   }
 
-  /// Effective prefetch lookahead (BFSOptions::prefetch_distance, as
-  /// tuned by the service's register_graph probe).
+  /// Effective prefetch lookahead (BFSOptions::prefetch_distance).
   int prefetch_distance() const { return prefetch_dist_; }
 
   /// Raw neighbor spans, for kernels that need early-exit scans.
@@ -293,7 +292,7 @@ class KernelSubstrate {
   bool dense_ = false;
   bool flags_set_ = false;  // flags_ currently holds frontier_'s bits
   bool mmap_backed_ = false;  // cached at ctor: storage kind never changes
-  int prefetch_dist_ = 0;     // BFSOptions::prefetch_distance (tuned)
+  int prefetch_dist_ = 0;     // BFSOptions::prefetch_distance
   std::uint64_t frontier_entries_ = 0;
 
   telemetry::CounterRegistry counters_;

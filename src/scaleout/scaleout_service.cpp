@@ -9,7 +9,6 @@
 #include "graph/graph_io.hpp"
 #include "graph/graph_props.hpp"
 #include "runtime/mem_topology.hpp"
-#include "service/prefetch_tuner.hpp"
 
 namespace optibfs::scaleout {
 
@@ -71,20 +70,8 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Options for one traversal family on a replica team at its tuned
-/// prefetch distance (the team sets the width).
-BFSOptions team_options(const ScaleoutConfig& config, int prefetch_distance) {
-  BFSOptions opts = config.bfs;
-  opts.prefetch_distance = prefetch_distance;
-  if (config.storage_budget_bytes != 0) {
-    opts.storage_budget_bytes = config.storage_budget_bytes;
-  }
-  return opts;
-}
-
 IncrementalBfsEngine::Config engine_config(const ScaleoutConfig& config) {
   IncrementalBfsEngine::Config ec;
-  ec.cone_recompute_fraction = config.cone_recompute_fraction;
   ec.bfs = config.bfs;
   ec.bfs.num_threads = config.threads_per_replica;
   return ec;
@@ -194,8 +181,8 @@ std::shared_ptr<TenantContext> ScaleoutService::build_tenant(
   }
   auto tenant =
       std::make_shared<TenantContext>(id, std::move(name), quota, replicas());
-  if (config_.storage_budget_bytes != 0) {
-    graph->set_storage_budget(config_.storage_budget_bytes);
+  if (config_.bfs.storage_budget_bytes != 0) {
+    graph->set_storage_budget(config_.bfs.storage_budget_bytes);
   }
   tenant->reorder = resolve_reorder(config_, *graph);
   if (tenant->reorder != ReorderPolicy::kNone) {
@@ -207,9 +194,6 @@ std::shared_ptr<TenantContext> ScaleoutService::build_tenant(
   // Materialize the transpose here: path queries and bottom-up levels
   // read it, and its lazy build's mutex must stay off those paths.
   if (graph->num_vertices() > 0) graph->transpose();
-  tenant->prefetch =
-      tune_prefetch(*graph, config_.bfs, config_.single_source_engine,
-                    config_.threads_per_replica);
   DynamicGraph::Config dyn_config;
   dyn_config.compact_threshold = config_.compact_threshold;
   dyn_config.reorder = tenant->reorder;
@@ -281,7 +265,7 @@ std::shared_ptr<const CsrGraph> ScaleoutService::load_graph_file(
     const std::string& path, storage::StorageKind kind) const {
   io::CsrLoadOptions load;
   load.storage = kind;
-  load.budget_bytes = config_.storage_budget_bytes;
+  load.budget_bytes = config_.bfs.storage_budget_bytes;
   return std::make_shared<const CsrGraph>(io::read_binary_csr(path, load));
 }
 
@@ -484,11 +468,10 @@ ServiceStats ScaleoutService::stats(TenantId tenant_id) const {
   }
   if (tenant) {
     stats.single_source_engine = config_.single_source_engine;
-    stats.prefetch_distance = tenant->prefetch.single_source.distance;
-    stats.wave_prefetch_distance = tenant->prefetch.wave.distance;
-    stats.kernel_prefetch_distance = tenant->prefetch.kernel.distance;
-    stats.prefetch_provenance =
-        tenant->prefetch.single_source.probed ? "probed" : "configured";
+    stats.prefetch_distance = config_.bfs.prefetch_distance;
+    stats.wave_prefetch_distance = config_.bfs.prefetch_distance;
+    stats.kernel_prefetch_distance = config_.bfs.prefetch_distance;
+    stats.prefetch_provenance = "configured";
     stats.reorder_policy = reorder_policy_name(tenant->reorder);
     const storage::StorageStats ss = epoch->base->storage_stats();
     stats.storage_backend = storage::storage_kind_name(ss.kind);
@@ -684,15 +667,12 @@ ReplicaEngines& ScaleoutService::engines_for(int r, const Claim& claim) {
   // replacement): free the old engines before building the new ones.
   engines.single.reset();
   engines.session.reset();
-  const PrefetchPlan& prefetch = claim.tenant->prefetch;
   const CsrGraph& graph = *claim.epoch->base;
-  engines.single =
-      make_bfs(config_.single_source_engine, graph,
-               team_options(config_, prefetch.single_source.distance),
-               rep.team.get());
+  engines.single = make_bfs(config_.single_source_engine, graph, config_.bfs,
+                            rep.team.get());
   // Waves direction-optimize like the (default BFS_CL_H) batch-of-1
   // engine; set bfs.alpha = 0 to force top-down-only waves.
-  BFSOptions wave = team_options(config_, prefetch.wave.distance);
+  BFSOptions wave = config_.bfs;
   wave.direction_mode = DirectionMode::kHybrid;
   engines.session =
       std::make_unique<MsBfsSession>(graph, wave, rep.team.get());
@@ -803,8 +783,7 @@ void ScaleoutService::run_kernel_queries(
         }
         return epoch.base;
       },
-      team_options(config_, claim.tenant->prefetch.kernel.distance),
-      rep.team.get());
+      config_.bfs, rep.team.get());
   for (int i = 0; i < access.num_fills; ++i) {
     const SharedKernelMemo::Access::Fill& timed =
         access.fills[static_cast<std::size_t>(i)];

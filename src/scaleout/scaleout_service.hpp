@@ -11,9 +11,11 @@
 //   updates --submit_updates--> mutator thread: apply -> epoch publish
 //                                -> cache migration -> watch rollforward
 //
-// * Registration, once per graph: the reorder probe, the storage
-//   budget, the prefetch tuner, and the dynamic graph the tenant's
-//   updates go through. replace_graph() re-runs it for a live tenant.
+// * Registration, once per graph: the storage budget, the reorder
+//   probe, the transpose, and the dynamic graph the tenant's updates go
+//   through; it starts no thread. Every engine a tenant runs is built
+//   from ServingConfig::bfs as configured. replace_graph() re-runs it
+//   for a live tenant.
 // * Tenancy: each tenant owns a graph, a token-bucket quota and a
 //   bounded admission queue. Quota exhaustion answers kQuotaRejected at
 //   the front door; a full queue answers kRejectedQueueFull; a repeat
@@ -219,9 +221,9 @@ class ScaleoutService {
   };
 
   /// The registration pipeline, run once per graph: validates it,
-  /// applies the storage budget, resolves the reorder policy, tunes
-  /// prefetch distances, and builds the tenant's dynamic graph. The
-  /// caller publishes the first epoch.
+  /// applies the storage budget, resolves the reorder policy, builds
+  /// the transpose and the tenant's dynamic graph. The caller publishes
+  /// the first epoch.
   std::shared_ptr<TenantContext> build_tenant(
       TenantId id, std::string name, std::shared_ptr<const CsrGraph> graph,
       TenantQuota quota) const;

@@ -2,12 +2,12 @@
 // the serving core.
 //
 // A *tenant* is one served graph plus its admission policy: a dynamic
-// graph (single mutator, copy-on-write readers), the settings
-// registration resolved for it (reorder policy, prefetch distances),
-// the current published epoch (snapshot + version + fingerprint +
-// kernel memo, swapped as one immutable object), a token-bucket quota,
-// a bounded admission queue, one engine slot per replica, and the
-// tenant's continuous-query table. ScaleoutService owns the id ->
+// graph (single mutator, copy-on-write readers), the reorder policy
+// registration resolved for it, the current published epoch
+// (snapshot + version + fingerprint + kernel memo, swapped as one
+// immutable object), a token-bucket quota, a bounded admission queue,
+// one engine slot per replica, and the tenant's continuous-query
+// table. Its engines run with ServingConfig::bfs as configured. ScaleoutService owns the id ->
 // context map under its admission mutex (the documented front-of-house
 // lock exemption); contexts are shared so a claim taken before
 // deregister_tenant() or replace_graph() finishes cleanly against the
@@ -29,7 +29,6 @@
 #include "graph/csr_graph.hpp"
 #include "scaleout/continuous_query.hpp"
 #include "service/kernel_memo.hpp"
-#include "service/prefetch_tuner.hpp"
 #include "service/serving.hpp"
 
 namespace optibfs::scaleout {
@@ -115,7 +114,6 @@ struct TenantContext {
   const std::string name;
   /// Resolved once at registration (fixed for the context's life).
   ReorderPolicy reorder = ReorderPolicy::kNone;
-  PrefetchPlan prefetch;
   /// Single-mutator dynamic graph; only the service's mutator thread
   /// calls apply(). Replicas touch it solely through the
   /// (relaxed-atomic) epoch roster.

@@ -55,8 +55,8 @@ class BfsService {
 
   /// Registers a graph straight from a binary-CSR-v2 file (DESIGN.md
   /// §12). With kMmap (the default) the graph is demand-paged under
-  /// ServiceConfig::storage_budget_bytes instead of copied into RAM and
-  /// served unreordered (pre-reorder the file offline; an explicit
+  /// ServiceConfig::bfs.storage_budget_bytes instead of copied into RAM
+  /// and served unreordered (pre-reorder the file offline; an explicit
   /// ServiceConfig::reorder still wins and falls back to a heap copy).
   std::uint64_t register_graph_file(
       const std::string& path,

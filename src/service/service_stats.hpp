@@ -96,18 +96,15 @@ struct ServiceStats {
   /// strict-vs-relaxed choice: a level-synchronous hybrid like
   /// BFS_CL_H, or the asynchronous BFS_ASYNC).
   std::string single_source_engine;
-  /// Prefetch lookaheads the graph's engines run with: the batch-of-1
-  /// engine, the MS-BFS wave session, and the kernel memo runs, probed
-  /// independently — their hot probe arrays (level[], mask words,
-  /// kernel state) have different win profiles. Recorded here so a
-  /// regressing default cannot ship silently (the BENCH_locality pf8
-  /// lesson).
+  /// Prefetch lookahead of the batch-of-1 engine, the MS-BFS wave
+  /// session and the kernel-memo runs. All three report
+  /// ServingConfig::bfs.prefetch_distance, the one distance every
+  /// engine runs with, and the provenance always reads "configured".
+  /// The four fields stay because the perf ledger (perfbench) stamps
+  /// each of them into its provenance.
   int prefetch_distance = -1;
   int wave_prefetch_distance = -1;
   int kernel_prefetch_distance = -1;
-  /// "probed" when the distances won registration-time timing on this
-  /// graph; "configured" when the graph was below the probe floor and
-  /// the configured value passed through.
   std::string prefetch_provenance;
   /// Resolved vertex-reorder policy the graph is served under: the
   /// configured one, or the registration-time degree-probe pick

@@ -112,11 +112,6 @@ struct ServingConfig {
   /// exceeds this fraction of the base edge count
   /// (DynamicGraph::Config::compact_threshold). <= 0 never compacts.
   double compact_threshold = 0.125;
-  /// Abandon incremental repair of a cached result or watch (and
-  /// recompute it on next demand) when a deletion's invalidation cone
-  /// exceeds this fraction of n
-  /// (IncrementalBfsEngine::Config::cone_recompute_fraction).
-  double cone_recompute_fraction = 0.25;
   /// Registry name of the batch-of-1 engine — the strict-vs-relaxed
   /// choice: any level-synchronous name (BFS_CL_H by default) or the
   /// asynchronous BFS_ASYNC for high-diameter graphs where barriers x
@@ -132,16 +127,12 @@ struct ServingConfig {
   /// original vertex IDs either way. The resolved policy is recorded in
   /// ServiceStats::reorder_policy.
   ReorderPolicy reorder = ReorderPolicy::kNone;
-  /// Storage tier (DESIGN.md §12): residency budget in bytes applied to
-  /// each registered graph's storage backend (and propagated into every
-  /// engine's BFSOptions). Only meaningful for mmap-backed graphs;
-  /// heap graphs ignore it. 0 = uncapped.
-  std::uint64_t storage_budget_bytes = 0;
-  /// Engine tuning knobs (num_threads is overridden by the front
-  /// door's team width). Registration probes prefetch_distance
-  /// candidates {0, 4, 8, 16} per traversal family on graphs with
-  /// n >= 32768 (service/prefetch_tuner) and uses this value as-is on
-  /// smaller ones.
+  /// Engine tuning knobs, used as-is by every engine a tenant runs:
+  /// the batch-of-1 engine, MS-BFS waves, kernel-memo fills and the
+  /// repair engines (num_threads is overridden by the front door's team
+  /// width). bfs.storage_budget_bytes (DESIGN.md §12) also caps each
+  /// registered graph's storage backend and the files load_graph_file
+  /// opens; heap graphs ignore it.
   BFSOptions bfs;
 };
 

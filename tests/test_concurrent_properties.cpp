@@ -61,7 +61,7 @@ TEST(OptimisticCoverage, EverySlotConsumedAtLeastOnce) {
           ++k;
         }
         if (k >= kQueues) return;
-        // BFS_CL's pick_segment with the default adaptive size.
+        // BFS_CL's fetch with the default adaptive segment size.
         const std::int64_t len = std::min(
             std::clamp<std::int64_t>((rear - front) / (4 * kThreads), 1, 2048),
             rear - front);

@@ -1,6 +1,7 @@
 // Memory-topology layer (DESIGN.md §13): sysfs parsing, placement
-// syscall degrade paths, first-touch buffers, socket maps, and the
-// register_graph prefetch tuner's provenance contract.
+// syscall degrade paths, first-touch buffers and socket maps. The
+// topology facts a service reports are checked with its other stats
+// (BfsService.StatsReportResolvedEngineAndPrefetch).
 //
 // The invariant under test everywhere mirrors the locality suite:
 // topology knobs must be observationally invisible. Every engine /
@@ -31,8 +32,6 @@
 #include "runtime/mem_topology.hpp"
 #include "runtime/thread_team.hpp"
 #include "runtime/topology.hpp"
-#include "service/bfs_service.hpp"
-#include "service/prefetch_tuner.hpp"
 
 namespace optibfs {
 namespace {
@@ -349,48 +348,6 @@ TEST(TopologyParity, KernelsMatchReferenceWithAllKnobsOn) {
   kernels::KernelResult out;
   kernel->run(out);
   EXPECT_EQ(out.labels, kernels::cc_reference(g));
-}
-
-// ---------------------------------------------------------------------
-// Prefetch tuner provenance (the pf8 postmortem's contract): a skipped
-// probe must say "configured", never masquerade as tuned.
-
-TEST(PrefetchTuner, SmallGraphKeepsConfiguredDistance) {
-  const CsrGraph g = CsrGraph::from_edges(gen::erdos_renyi(512, 2048, 3));
-  ASSERT_LT(g.num_vertices(), kPrefetchProbeMinVertices);
-  BFSOptions base;
-  base.num_threads = 2;
-  base.prefetch_distance = 7;
-  const PrefetchPlan plan =
-      tune_prefetch(g, base, "BFS_CL_H", 2);
-  EXPECT_FALSE(plan.single_source.probed);
-  EXPECT_FALSE(plan.wave.probed);
-  EXPECT_FALSE(plan.kernel.probed);
-  EXPECT_EQ(plan.single_source.distance, 7);
-  EXPECT_EQ(plan.wave.distance, 7);
-  EXPECT_EQ(plan.kernel.distance, 7);
-}
-
-TEST(PrefetchTuner, ServiceStatsReportProvenanceAndTopology) {
-  const auto graph = std::make_shared<const CsrGraph>(
-      CsrGraph::from_edges(gen::erdos_renyi(600, 4000, 7)));
-  ServiceConfig config;
-  config.num_threads = 2;
-  config.bfs.prefetch_distance = 8;
-  BfsService service(config);
-  service.register_graph(graph);
-
-  const ServiceStats stats = service.stats();
-  // 600 vertices is below the probe floor: the old implementation
-  // reported distance 8 as if it had been measured; now the provenance
-  // string makes the skip visible.
-  EXPECT_EQ(stats.prefetch_provenance, "configured");
-  EXPECT_EQ(stats.prefetch_distance, 8);
-  EXPECT_EQ(stats.wave_prefetch_distance, 8);
-  EXPECT_EQ(stats.kernel_prefetch_distance, 8);
-  EXPECT_GE(stats.sockets, 1);
-  EXPECT_FALSE(stats.thp_mode.empty());
-  EXPECT_GE(stats.pinned_threads, 0);
 }
 
 }  // namespace

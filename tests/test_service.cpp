@@ -287,9 +287,11 @@ TEST(BfsService, ShutdownCompletesEveryFuture) {
   }
 }
 
-// The strict-vs-relaxed engine choice and the prefetch auto-tune
-// result must be observable: BENCH comparisons across engine families
-// key off ServiceStats::single_source_engine / prefetch_distance.
+// The strict-vs-relaxed engine choice, the prefetch distance and the
+// machine's topology must be observable: BENCH comparisons across
+// engine families key off ServiceStats::single_source_engine /
+// prefetch_distance. Every engine runs with the configured distance,
+// whatever the graph's size.
 TEST(BfsService, StatsReportResolvedEngineAndPrefetch) {
   ServiceConfig config = small_config();
   EXPECT_TRUE(BfsService(config).stats().single_source_engine.empty());
@@ -297,21 +299,30 @@ TEST(BfsService, StatsReportResolvedEngineAndPrefetch) {
 
   config.single_source_engine = "BFS_ASYNC";
   config.bfs.prefetch_distance = 4;
-  BfsService service(config);
-  const auto graph = make_graph(gen::erdos_renyi(600, 4000, 7));
-  service.register_graph(graph);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.single_source_engine, "BFS_ASYNC");
-  // Too small for the auto-tune probe (n < 32768): the configured
-  // fixed distance is recorded as-is.
-  EXPECT_EQ(stats.prefetch_distance, 4);
+  const std::vector<EdgeList> inputs{gen::erdos_renyi(600, 4000, 7),
+                                     gen::erdos_renyi(32768, 131072, 7)};
+  for (const EdgeList& edges : inputs) {
+    SCOPED_TRACE(edges.num_vertices());
+    BfsService service(config);
+    const auto graph = make_graph(edges);
+    service.register_graph(graph);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.single_source_engine, "BFS_ASYNC");
+    EXPECT_EQ(stats.prefetch_distance, 4);
+    EXPECT_EQ(stats.wave_prefetch_distance, 4);
+    EXPECT_EQ(stats.kernel_prefetch_distance, 4);
+    EXPECT_EQ(stats.prefetch_provenance, "configured");
+    EXPECT_GE(stats.sockets, 1);
+    EXPECT_FALSE(stats.thp_mode.empty());
+    EXPECT_GE(stats.pinned_threads, 0);
 
-  // The async engine serves batch-of-1 queries correctly end to end.
-  const BFSResult reference = bfs_serial(*graph, 3);
-  const QueryResult result = service.distance(3);
-  ASSERT_TRUE(result.ok());
-  ASSERT_NE(result.levels, nullptr);
-  EXPECT_EQ(*result.levels, reference.level);
+    // The async engine serves batch-of-1 queries correctly end to end.
+    const BFSResult reference = bfs_serial(*graph, 3);
+    const QueryResult result = service.distance(3);
+    ASSERT_TRUE(result.ok());
+    ASSERT_NE(result.levels, nullptr);
+    EXPECT_EQ(*result.levels, reference.level);
+  }
 }
 
 TEST(BfsService, ThreadCountIsFixedFromConstruction) {

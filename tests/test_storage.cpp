@@ -361,7 +361,7 @@ TEST(Storage, ServiceRegistersGraphFiles) {
 
   ServiceConfig config;
   config.num_threads = 2;
-  config.storage_budget_bytes = 1 << 20;
+  config.bfs.storage_budget_bytes = 1 << 20;
   BfsService service(config);
   service.register_graph_file(path);
 
